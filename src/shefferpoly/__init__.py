@@ -6,6 +6,7 @@ the families' quasi-monomial structure."""
 from .multipoly import MultiPoly, poly_latex, poly_str
 from .series import (
     ConstantTermNotOne,
+    NonScalarCoefficient,
     NonzeroConstantTerm,
     NotDeltaSeries,
     OrderTooSmall,
@@ -66,7 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MultiPoly", "poly_latex", "poly_str",
     "Series", "SeriesError", "NonzeroConstantTerm", "ConstantTermNotOne",
-    "ZeroConstantTerm", "NotDeltaSeries", "OrderTooSmall",
+    "ZeroConstantTerm", "NotDeltaSeries", "OrderTooSmall", "NonScalarCoefficient",
     "LinOp", "OpSeries", "CutoffRequired", "NonNilpotentGenerator",
     "deriv", "inv_deriv", "mul_var", "mul_poly", "scale", "identity",
     "compose", "op_sum", "op_pow", "commutator_check", "crofton_check",

@@ -1,7 +1,20 @@
-"""Base polynomial families built from their generating functions.
+"""Polynomial families as lookups into one scalar Sheffer matrix.
 
-Conventions (v is the series variable t, C_0 the order-zero Bessel-Tricomi
-function C_0(u) = sum_k (-u)^k / (k!)^2):
+Every family here is generated by A(t) * Phi(H(t)): a Sheffer pair supplies
+the scalar series A and H (``ShefferPair.resolved``), and Phi(u) is a
+product of closed-form factors in x, y, z.  The t^n coefficient is
+
+    sum_k phi_k(x, y, z) * [t^n] A(t) H(t)^k,      phi_k = [u^k] Phi(u),
+
+one column of the pair's Sheffer (exponential Riordan) matrix per power of
+H, weighted by a polynomial read off the factors.  With v = p * u^j for a
+polynomial p, the factors and their closed-form coefficients are
+
+* exp(v)                          [v^m] = 1/m!
+* C_0(v) = sum_m (-v)^m/(m!)^2    [v^m] = (-1)^m/(m!)^2   (Bessel-Tricomi)
+* 1/(1 - v_1 - ... - v_s)         [v_1^m_1 ... v_s^m_s] = (m_1+...+m_s)!/(m_1!...m_s!)
+
+The base families are the ``identity`` pair's case (A = 1, H = t):
 
 * Gould-Hopper          exp(x t + y t^s)            = sum H_n^(s)(x,y) t^n/n!
 * Legendre S            exp(y t) C_0(-x t^2)        = sum S_n(x,y) t^n/n!
@@ -9,11 +22,12 @@ function C_0(u) = sum_k (-u)^k / (k!)^2):
 * S-kind hybrid base    C_0(-x t^2) exp(y t + z t^r) = sum members t^n/n!
 * R-kind hybrid base    C_0(x t) C_0(-y t) exp(z t^r), weight t^n/(n!)^2
 
-R-kind values are stored with the full (n!)^2 scale, i.e. ``leghp_R(n, r)``
-is (n!)^2 times the t^n coefficient; callers that want the n!-normalised
-family divide once.  Every constructor extracts coefficients from the
-expanded product, so the closed finite sums in the oracle module remain a
-genuinely independent route.
+and ``sheffer_poly`` is the one-factor case Phi = exp(x u).  R-kind values
+are stored with the full (n!)^2 scale, i.e. ``leghp_R(n, r)`` is (n!)^2
+times the t^n coefficient; callers that want the n!-normalised family
+divide once.  The closed finite sums and the naive convolution in the
+oracle module share neither the matrix nor the factor expansion, so they
+remain a genuinely independent route.
 """
 
 from __future__ import annotations
@@ -22,11 +36,14 @@ import math
 from fractions import Fraction
 
 from .multipoly import MultiPoly, as_poly
+from .pairs import get_pair, memo
 from .series import OrderTooSmall, Series
 
 _X = MultiPoly.var("x")
 _Y = MultiPoly.var("y")
 _Z = MultiPoly.var("z")
+
+_IDENTITY = get_pair("identity")
 
 
 def tricomi_c(n: int, order: int) -> Series:
@@ -41,78 +58,137 @@ def tricomi_c(n: int, order: int) -> Series:
     return Series(coeffs, order)
 
 
-def c0_compose(factor, inner: Series) -> Series:
-    """C_0(factor * inner) for a polynomial (or rational) factor and a
-    series of zero constant term."""
-    w = inner * as_poly(factor)
-    return tricomi_c(0, w.order).compose(w)
+# -- the factors of Phi: (kind, ((p, j), ...)) stands for a function of p u^j --
 
 
-# -- generating series, cached whole so one expansion serves all n ------------
-
-_SERIES_CACHE: dict = {}
-
-
-def _cached(key, make):
-    got = _SERIES_CACHE.get(key)
-    if got is None:
-        got = make()
-        _SERIES_CACHE[key] = got
-    return got
+def exp_factor(p, j: int = 1) -> tuple:
+    """exp(p u^j) as a factor of Phi."""
+    return ("exp", ((as_poly(p), j),))
 
 
-def gould_hopper_series(s: int, order: int) -> Series:
-    """exp(x t + y t^s)."""
-    if s < 1:
-        raise ValueError("Gould-Hopper order must be >= 1")
-    return _cached(
-        ("gh", s, order),
-        lambda: (Series.monomial(_X, 1, order) + Series.monomial(_Y, s, order)).exp(),
-    )
+def c0_compose(p, j: int = 1) -> tuple:
+    """C_0(p u^j) as a factor of Phi."""
+    return ("c0", ((as_poly(p), j),))
 
 
-def legendre_s_series(order: int) -> Series:
-    """exp(y t) C_0(-x t^2)."""
-    return _cached(
-        ("legS", order),
-        lambda: Series.monomial(_Y, 1, order).exp()
-        * c0_compose(-_X, Series.monomial(Fraction(1), 2, order)),
-    )
+def geometric(*terms) -> tuple:
+    """1/(1 - sum_i p_i u^(j_i)) as a factor of Phi, from (p_i, j_i) pairs."""
+    return ("geo", tuple((as_poly(p), j) for p, j in terms))
 
 
-def legendre_r_series(order: int) -> Series:
-    """C_0(x t) C_0(-y t)."""
-    return _cached(
-        ("legR", order),
-        lambda: c0_compose(_X, Series.t(order)) * c0_compose(-_Y, Series.t(order)),
-    )
+def _factor_weight(kind: str, ms: tuple[int, ...]) -> Fraction:
+    if kind == "exp":
+        return Fraction(1, math.factorial(ms[0]))
+    if kind == "c0":
+        return Fraction((-1) ** ms[0], math.factorial(ms[0]) ** 2)
+    multinomial = math.factorial(sum(ms))
+    for m in ms:
+        multinomial //= math.factorial(m)
+    return Fraction(multinomial)
 
 
-def leghp_s_series(r: int, order: int) -> Series:
-    """C_0(-x t^2) exp(y t + z t^r)."""
+def _factor_terms(factor: tuple, order: int) -> list[tuple[int, MultiPoly]]:
+    """(power of u, coefficient) of every term of one factor through u^order."""
+    kind, parts = factor
+    terms = [(0, MultiPoly.const(1), ())]
+    for p, j in parts:
+        grown = []
+        for deg, poly, ms in terms:
+            m = 0
+            while deg + j * m <= order:
+                grown.append((deg + j * m, poly, ms + (m,)))
+                poly = poly * p
+                m += 1
+        terms = grown
+    return [(deg, poly * _factor_weight(kind, ms)) for deg, poly, ms in terms]
+
+
+def phi_coefficients(factors, order: int) -> list[MultiPoly]:
+    """[u^k] Phi(u) for k = 0..order, Phi the product of the factors."""
+    acc = [(0, MultiPoly.const(1))]
+    for factor in factors:
+        acc = [(d1 + d2, p1 * p2)
+               for d2, p2 in _factor_terms(factor, order)
+               for d1, p1 in acc if d1 + d2 <= order]
+    phi = [MultiPoly.zero()] * (order + 1)
+    for deg, poly in acc:
+        phi[deg] = phi[deg] + poly
+    return phi
+
+
+# -- the Sheffer matrix and the families read from it ---------------------------
+
+
+def sheffer_matrix(pair, order: int) -> list[list[Fraction]]:
+    """Column k holds [t^n] A(t) H(t)^k for n = 0..order, k = 0..order."""
+    def make():
+        # inverting f needs its linear term, so order 0 reads an order-1 pair
+        res = pair.resolved(max(order, 1))
+        col = res.A
+        cols = [col.coeffs]
+        for _ in range(order):
+            col = col * res.H
+            cols.append(col.coeffs)
+        return cols
+
+    return memo(("matrix", pair.name, pair.params, order), make)
+
+
+def _coefficient(cols, phi: list[MultiPoly], n: int) -> MultiPoly:
+    """sum_k phi_k [t^n] A H^k."""
+    terms: dict = {}
+    for k in range(n + 1):
+        c = cols[k][n]
+        if c:
+            for e, v in phi[k].terms.items():
+                terms[e] = terms.get(e, 0) + v * c
+    return MultiPoly._raw({e: v for e, v in terms.items() if v})
+
+
+def expand(pair, factors, order: int) -> tuple[MultiPoly, ...]:
+    """[t^n] A(t) Phi(H(t)) for n = 0..order, Phi the product of the factors."""
+    cols = sheffer_matrix(pair, order)
+    phi = phi_coefficients(factors, order)
+    return tuple(_coefficient(cols, phi, n) for n in range(order + 1))
+
+
+def family_member(pair, factors, n: int, order: int, weight: int) -> MultiPoly:
+    """weight * [t^n] A(t) Phi(H(t)) alone, without expanding other members."""
+    if n > order:
+        raise OrderTooSmall(f"member {n} beyond truncation order {order}")
+    cols = sheffer_matrix(pair, order)
+    return _coefficient(cols, phi_coefficients(factors, n), n) * weight
+
+
+def _members(key, pair, factors, order: int, power: int) -> tuple[MultiPoly, ...]:
+    """(n!)^power * [t^n] A(t) Phi(H(t)) for n = 0..order, memoized under key."""
+    return memo(key, lambda: tuple(
+        c * math.factorial(n) ** power
+        for n, c in enumerate(expand(pair, factors, order))))
+
+
+def _member_at(members: tuple[MultiPoly, ...], n: int) -> MultiPoly:
+    if n >= len(members):
+        raise OrderTooSmall(f"member {n} beyond truncation order {len(members) - 1}")
+    return members[n]
+
+
+def leghp_phi(kind: str, r: int) -> tuple:
+    """Phi of the hybrid bases, exp(z u^r) last: S-kind C_0(-x u^2)
+    exp(y u) exp(z u^r); R-kind C_0(x u) C_0(-y u) exp(z u^r)."""
     if r < 1:
         raise ValueError("superscript parameter r must be >= 1")
-    return _cached(
-        ("leghpS", r, order),
-        lambda: c0_compose(-_X, Series.monomial(Fraction(1), 2, order))
-        * (Series.monomial(_Y, 1, order) + Series.monomial(_Z, r, order)).exp(),
-    )
+    if kind == "S":
+        return (c0_compose(-_X, 2), exp_factor(_Y), exp_factor(_Z, r))
+    return (c0_compose(_X), c0_compose(-_Y), exp_factor(_Z, r))
 
 
-def leghp_r_series(r: int, order: int) -> Series:
-    """C_0(x t) C_0(-y t) exp(z t^r)."""
-    if r < 1:
-        raise ValueError("superscript parameter r must be >= 1")
-    return _cached(
-        ("leghpR", r, order),
-        lambda: legendre_r_series(order) * Series.monomial(_Z, r, order).exp(),
-    )
-
-
-def _extract(series: Series, n: int, scale: Fraction) -> MultiPoly:
-    if n > series.order:
-        raise OrderTooSmall(f"member {n} beyond truncation order {series.order}")
-    return as_poly(series.coeffs[n]) * scale
+def leghp_member(pair, kind: str, r: int, n: int, order: int) -> MultiPoly:
+    """Member n of a pair's S- or R-kind hybrid family, at weight n! (S)
+    or (n!)^2 (R)."""
+    key = ("leghp", pair.name, pair.params, kind, r, order)
+    power = 1 if kind == "S" else 2
+    return _member_at(_members(key, pair, leghp_phi(kind, r), order, power), n)
 
 
 def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
@@ -123,44 +199,43 @@ def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
+    if s < 1:
+        raise ValueError("Gould-Hopper order must be >= 1")
     order = n if order is None else order
-    return _extract(gould_hopper_series(s, order), n, Fraction(math.factorial(n)))
+    phi = (exp_factor(_X), exp_factor(_Y, s))
+    return _member_at(_members(("gould-hopper", s, order), _IDENTITY, phi, order, 1), n)
 
 
 def legendre_S(n: int, order: int | None = None) -> MultiPoly:
     """S_n(x, y) from exp(y t) C_0(-x t^2)."""
     order = n if order is None else order
-    return _extract(legendre_s_series(order), n, Fraction(math.factorial(n)))
+    phi = (exp_factor(_Y), c0_compose(-_X, 2))
+    return _member_at(_members(("legendre-S", order), _IDENTITY, phi, order, 1), n)
 
 
 def legendre_R(n: int, order: int | None = None) -> MultiPoly:
     """R_n(x, y): the (n!)^2-scaled t^n coefficient of C_0(x t) C_0(-y t)."""
     order = n if order is None else order
-    return _extract(legendre_r_series(order), n, Fraction(math.factorial(n) ** 2))
+    phi = (c0_compose(_X), c0_compose(-_Y))
+    return _member_at(_members(("legendre-R", order), _IDENTITY, phi, order, 2), n)
 
 
 def leghp_S(n: int, r: int, order: int | None = None) -> MultiPoly:
     """S-kind Legendre-Gould Hopper base member, n! * [t^n]."""
-    order = n if order is None else order
-    return _extract(leghp_s_series(r, order), n, Fraction(math.factorial(n)))
+    return leghp_member(_IDENTITY, "S", r, n, n if order is None else order)
 
 
 def leghp_R(n: int, r: int, order: int | None = None) -> MultiPoly:
     """R-kind Legendre-Gould Hopper base member, (n!)^2 * [t^n]."""
-    order = n if order is None else order
-    return _extract(leghp_r_series(r, order), n, Fraction(math.factorial(n) ** 2))
+    return leghp_member(_IDENTITY, "R", r, n, n if order is None else order)
 
 
 # -- Sheffer members and the umbral pairing -----------------------------------
 
 
-def sheffer_series(pair, order: int) -> Series:
-    """A(t) exp(x H(t)) for a catalog pair: the egf of its Sheffer sequence."""
-    key = ("sheffer", pair.name, pair.params, order)
-    def make():
-        res = pair.resolved(order)
-        return (res.H * _X).exp() * res.A
-    return _cached(key, make)
+def sheffer_series(pair, order: int) -> tuple[MultiPoly, ...]:
+    """[t^n] A(t) exp(x H(t)), n = 0..order: the egf of a pair's Sheffer sequence."""
+    return expand(pair, (exp_factor(_X),), order)
 
 
 def sheffer_poly(pair, n: int, order: int | None = None) -> MultiPoly:
@@ -175,7 +250,8 @@ def sheffer_poly(pair, n: int, order: int | None = None) -> MultiPoly:
     x^3 - 3*x^2 + 2*x
     """
     order = max(n, 1) if order is None else order
-    return _extract(sheffer_series(pair, order), n, Fraction(math.factorial(n)))
+    key = ("sheffer", pair.name, pair.params, order)
+    return _member_at(_members(key, pair, (exp_factor(_X),), order, 1), n)
 
 
 def umbral_pairing(h: Series, p: MultiPoly) -> Fraction:
@@ -192,12 +268,8 @@ def umbral_pairing(h: Series, p: MultiPoly) -> Fraction:
         if k:
             fact *= k
         hk = h.coeffs[k]
-        if isinstance(hk, MultiPoly):
-            if hk.total_degree() > 0:
-                raise ValueError("the pairing needs a scalar series")
-            hk = hk.constant_value()
         if hk:
             c = p.coeff((k, 0, 0))
             if c:
-                total += Fraction(hk) * fact * c
+                total += hk * fact * c
     return total

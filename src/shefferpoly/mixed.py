@@ -6,6 +6,12 @@ are generated by
   S-kind:  A(t) C_0(-x H(t)^2) exp(y H(t) + z H(t)^r)  = sum m_n(x,y,z) t^n/n!
   R-kind:  A(t) C_0(x H(t)) C_0(-y H(t)) exp(z H(t)^r) = sum m_n(x,y,z) t^n/(n!)^2
 
+Both have the form A(t) Phi(H(t)), so member n is weight(n) times
+sum_k phi_k [t^n] A H^k: closed-form polynomial coefficients phi_k of Phi
+against one column each of the pair's scalar Sheffer matrix (see the
+families module).  Every reduction target below is the same lookup with a
+different Phi.
+
 Members are stored at the weight written above (so R-kind members carry
 the full (n!)^2 scale; the n!-normalised family m_n/n! is the one the
 quasi-monomial operators act on, and verification reports test both).
@@ -35,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .multipoly import MultiPoly, as_poly
+from .multipoly import MultiPoly
 from .operators import (
     LinOp,
     MulPoly,
@@ -54,7 +60,15 @@ from .operators import (
 )
 from .pairs import ShefferPair
 from .series import OrderTooSmall, Series
-from .families import c0_compose, sheffer_series
+from .families import (
+    c0_compose,
+    exp_factor,
+    family_member,
+    geometric,
+    leghp_member,
+    leghp_phi,
+    sheffer_poly,
+)
 
 _X = MultiPoly.var("x")
 _Y = MultiPoly.var("y")
@@ -94,20 +108,9 @@ class MixedFamily:
 
     # -- members ------------------------------------------------------------
 
-    def generating_series(self) -> Series:
-        key = ("mixed", self.pair.name, self.pair.params, self.kind, self.r, self.order)
-        got = _CACHE.get(key)
-        if got is None:
-            res = self.pair.resolved(self.order)
-            H = res.H
-            if self.kind == "S":
-                expo = (H * _Y + (H ** self.r) * _Z).exp()
-                got = res.A * c0_compose(-_X, H * H) * expo
-            else:
-                expo = ((H ** self.r) * _Z).exp()
-                got = res.A * c0_compose(_X, H) * c0_compose(-_Y, H) * expo
-            _CACHE[key] = got
-        return got
+    def generating_series(self) -> tuple[MultiPoly, ...]:
+        """The t^n coefficients of the generating function, n = 0..order."""
+        return tuple(self.member(n) / self.weight(n) for n in range(self.order + 1))
 
     def weight(self, n: int) -> Fraction:
         f = math.factorial(n)
@@ -115,9 +118,7 @@ class MixedFamily:
 
     def member(self, n: int) -> MultiPoly:
         """The stored member: weight(n) times the t^n coefficient."""
-        if n > self.order:
-            raise OrderTooSmall(f"member {n} beyond truncation order {self.order}")
-        return as_poly(self.generating_series().coeffs[n]) * self.weight(n)
+        return leghp_member(self.pair, self.kind, self.r, n, self.order)
 
     def egf_member(self, n: int) -> MultiPoly:
         """The member at exponential weight t^n/n! (for R this is member/n!)."""
@@ -315,20 +316,16 @@ class MixedFamily:
     # -- integral representation ----------------------------------------------------
 
     def integral_rep_check(self, n: int) -> "CheckRecord":
-        """Replace z by s D_z^(-1) applied to the z-vacuum, then integrate
-        against e^(-s) via the moment rule s^k -> k!, and compare with the
-        member itself."""
+        """Replace z by s z and integrate against e^(-s) (the moment rule
+        z^k -> k! z^k); this turns exp(z H^r) into 1/(1 - z H^r), so the
+        result must equal the member of the family generated with that
+        geometric factor in place of the exponential."""
         member = self.member(n)
-        by_s_degree: dict[int, MultiPoly] = {}
-        for exps, c in member.terms.items():
-            k = exps[2]
-            # z^k -> s^k * D_z^(-k){1} = s^k z^k / k!
-            poly = MultiPoly.monomial(exps, c / math.factorial(k))
-            by_s_degree[k] = by_s_degree.get(k, MultiPoly.zero()) + poly
-        integrated = MultiPoly.zero()
-        for k, poly in by_s_degree.items():
-            integrated = integrated + poly * math.factorial(k)
-        return _record("integral-rep", n, "printed", "stored", integrated, member)
+        integrated = MultiPoly(
+            {e: c * math.factorial(e[2]) for e, c in member.terms.items()})
+        phi = leghp_phi(self.kind, self.r)[:-1] + (geometric((_Z, self.r)),)
+        target = family_member(self.pair, phi, n, self.order, self.weight(n))
+        return _record("integral-rep", n, "printed", "stored", integrated, target)
 
     # -- reductions -------------------------------------------------------------------
 
@@ -346,11 +343,8 @@ class MixedFamily:
             raise UnknownReduction(
                 f"reduction {reduction!r} requires r = {recipe.requires_r}")
         lhs = recipe.specialize(self, n)
-        rhs = recipe.target(self, n)
+        rhs = family_member(self.pair, recipe.phi(self.r), n, self.order, self.weight(n))
         return ReductionResult(reduction, n, lhs, rhs, lhs == rhs, recipe.note)
-
-
-_CACHE: dict = {}
 
 
 def theta_operator() -> LinOp:
@@ -361,8 +355,7 @@ def theta_operator() -> LinOp:
 
 def sheffer_poly_in_y(pair: ShefferPair, n: int, order: int) -> MultiPoly:
     """The plain Sheffer polynomial s_n written in the variable y."""
-    poly = as_poly(sheffer_series(pair, order).coeffs[n]) * math.factorial(n)
-    return poly.substitute({"x": _Y})
+    return sheffer_poly(pair, n, order).substitute({"x": _Y})
 
 
 # -- check bookkeeping ------------------------------------------------------------
@@ -472,35 +465,21 @@ class ReductionResult:
 
 @dataclass(frozen=True)
 class _Reduction:
+    """A named special case: ``specialize(fam, n)`` pushes member(n) through
+    the recipe; ``phi(r)`` gives the factors of the target family's Phi,
+    whose member at the family's weight is the expected value."""
+
     kind: str
     specialize: object
-    target: object
+    phi: object
     note: str
     requires_r: int | None = None
-
-
-def _weighted_coeff(fam: MixedFamily, series: Series, n: int) -> MultiPoly:
-    return as_poly(series.coeffs[n]) * fam.weight(n)
-
-
-def _resolved(fam: MixedFamily):
-    return fam.pair.resolved(fam.order)
-
-
-def _exp_of(*parts: Series) -> Series:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = acc + p
-    return acc.exp()
 
 
 def _moment_scale_xy(p: MultiPoly) -> MultiPoly:
     """Scale each monomial by (total degree)!: the Gamma-moment image of
     p(s*x, s*y) integrated against e^(-s)."""
-    out = MultiPoly.zero()
-    for exps, c in p.terms.items():
-        out = out + MultiPoly.monomial(exps, c * math.factorial(sum(exps)))
-    return out
+    return MultiPoly({e: c * math.factorial(sum(e)) for e, c in p.terms.items()})
 
 
 def _make_reductions() -> dict[str, _Reduction]:
@@ -510,12 +489,7 @@ def _make_reductions() -> dict[str, _Reduction]:
     R["ex1"] = _Reduction(
         "S",
         lambda fam, n: fam.member(n).substitute({"x": 0}),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * _exp_of(_resolved(fam).H * _Y, (_resolved(fam).H ** fam.r) * _Z),
-            n,
-        ),
+        lambda r: (exp_factor(_Y), exp_factor(_Z, r)),
         "x = 0: Gould-Hopper based member in (y, z)",
     )
 
@@ -523,13 +497,7 @@ def _make_reductions() -> dict[str, _Reduction]:
     R["ex2"] = _Reduction(
         "S",
         lambda fam, n: fam.member(n).substitute({"z": 0}),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(-_X, _resolved(fam).H ** 2)
-            * (_resolved(fam).H * _Y).exp(),
-            n,
-        ),
+        lambda r: (c0_compose(-_X, 2), exp_factor(_Y)),
         "z = 0: two-variable Legendre-type based member",
     )
 
@@ -540,13 +508,7 @@ def _make_reductions() -> dict[str, _Reduction]:
             fam.member(n).substitute({"x": 0}),
             {"y": compose(scale(-1), inv_deriv("x")), "z": _Y},
         ),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(_X, _resolved(fam).H)
-            * ((_resolved(fam).H ** fam.r) * _Y).exp(),
-            n,
-        ),
+        lambda r: (c0_compose(_X), exp_factor(_Y, r)),
         "x = 0, y -> -D_x^(-1){1}, z -> y: generalized Laguerre-type based member",
     )
 
@@ -556,16 +518,7 @@ def _make_reductions() -> dict[str, _Reduction]:
         lambda fam, n: _moment_scale_xy(
             fam.member(n).substitute({"x": 0}).substitute({"y": _X, "z": _Y})
         ),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * (
-                Series.constant(Fraction(1), fam.order)
-                - _resolved(fam).H * _X
-                - (_resolved(fam).H ** fam.r) * _Y
-            ).reciprocal(),
-            n,
-        ),
+        lambda r: (geometric((_X, 1), (_Y, r)),),
         "x = 0, y -> s*x, z -> s*y then the moment rule s^k -> k!: "
         "generalized Chebyshev based member (ordinary generating weight)",
     )
@@ -577,13 +530,7 @@ def _make_reductions() -> dict[str, _Reduction]:
             fam.member(n).substitute({"x": 0}),
             {"z": compose(scale(-1), inv_deriv("x"))},
         ),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(_X, _resolved(fam).H)
-            * (_resolved(fam).H * _Y).exp(),
-            n,
-        ),
+        lambda r: (c0_compose(_X), exp_factor(_Y)),
         "r = 1, x = 0, z -> -D_x^(-1){1}: two-variable Laguerre based member",
         requires_r=1,
     )
@@ -592,13 +539,7 @@ def _make_reductions() -> dict[str, _Reduction]:
     R["ex6"] = _Reduction(
         "R",
         lambda fam, n: fam.member(n).substitute({"z": 0}),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(_X, _resolved(fam).H)
-            * c0_compose(-_Y, _resolved(fam).H),
-            n,
-        ),
+        lambda r: (c0_compose(_X), c0_compose(-_Y)),
         "z = 0: two-variable Legendre based member (stored (n!)^2 weight)",
     )
 
@@ -609,16 +550,7 @@ def _make_reductions() -> dict[str, _Reduction]:
             fam.member(n).substitute({"x": 0}),
             {"y": _X, "z": compose(mul_var("y"), deriv("y"), mul_var("y"))},
         ),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * (_resolved(fam).H * _X).exp()
-            * (
-                Series.constant(Fraction(1), fam.order)
-                - (_resolved(fam).H ** fam.r) * _Y
-            ).reciprocal(),
-            n,
-        ),
+        lambda r: (exp_factor(_X), geometric((_Y, r))),
         "x = 0, y -> x, z -> (y d/dy y)^k{1} = k! y^k: truncated-exponential based member",
     )
 
@@ -626,12 +558,7 @@ def _make_reductions() -> dict[str, _Reduction]:
     R["ex8"] = _Reduction(
         "S",
         lambda fam, n: fam.member(n).substitute({"x": 0}),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * _exp_of(_resolved(fam).H * _Y, (_resolved(fam).H ** 2) * _Z),
-            n,
-        ),
+        lambda r: (exp_factor(_Y), exp_factor(_Z, 2)),
         "r = 2, x = 0: two-variable Hermite based member",
         requires_r=2,
     )
@@ -643,13 +570,7 @@ def _make_reductions() -> dict[str, _Reduction]:
             fam.member(n).substitute({"x": 0}),
             {"y": inv_deriv("x"), "z": _Y},
         ),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(-_X, _resolved(fam).H)
-            * ((_resolved(fam).H ** 2) * _Y).exp(),
-            n,
-        ),
+        lambda r: (c0_compose(-_X), exp_factor(_Y, 2)),
         "r = 2, x = 0, y -> D_x^(-1){1}, z -> y: Hermite-type based member",
         requires_r=2,
     )
@@ -661,13 +582,7 @@ def _make_reductions() -> dict[str, _Reduction]:
         lambda fam, n: fam.member(n).substitute(
             {"x": (_X * _X - 1) * quarter, "y": _X, "z": 0}
         ),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(-((_X * _X - 1) * quarter), _resolved(fam).H ** 2)
-            * (_resolved(fam).H * _X).exp(),
-            n,
-        ),
+        lambda r: (c0_compose(-((_X * _X - 1) * quarter), 2), exp_factor(_X)),
         "x -> (x^2-1)/4, y -> x, z = 0: Legendre based member",
     )
 
@@ -678,16 +593,7 @@ def _make_reductions() -> dict[str, _Reduction]:
             fam.member(n),
             {"x": compose(mul_var("z"), deriv("z"), mul_var("z")), "y": _X, "z": _Y},
         ),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * _exp_of(
-                _resolved(fam).H * _X,
-                (_resolved(fam).H ** 3) * _Y,
-                (_resolved(fam).H ** 2) * _Z,
-            ),
-            n,
-        ),
+        lambda r: (exp_factor(_X), exp_factor(_Y, 3), exp_factor(_Z, 2)),
         "r = 3, x -> (z d/dz z)^k{1} = k! z^k, y -> x, z -> y: Bell-type based member",
         requires_r=3,
     )
@@ -698,26 +604,14 @@ def _make_reductions() -> dict[str, _Reduction]:
         lambda fam, n: fam.member(n)
         .substitute({"y": 0})
         .substitute({"z": _Y, "x": -_X}),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(-_X, _resolved(fam).H)
-            * ((_resolved(fam).H ** fam.r) * _Y).exp(),
-            n,
-        ),
+        lambda r: (c0_compose(-_X), exp_factor(_Y, r)),
         "y = 0, z -> y, x -> -x: generalized Laguerre-type based member "
         "(sign fixed so the Laguerre argument matches its series definition)",
     )
     R["ex5r"] = _Reduction(
         "R",
         lambda fam, n: fam.member(n).substitute({"y": 0}).substitute({"z": _Y}),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(_X, _resolved(fam).H)
-            * (_resolved(fam).H * _Y).exp(),
-            n,
-        ),
+        lambda r: (c0_compose(_X), exp_factor(_Y)),
         "r = 1, y = 0, z -> y: two-variable Laguerre based member",
         requires_r=1,
     )
@@ -726,13 +620,7 @@ def _make_reductions() -> dict[str, _Reduction]:
         lambda fam, n: fam.member(n)
         .substitute({"x": 0})
         .substitute({"y": _X, "z": _Y}),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose(-_X, _resolved(fam).H)
-            * ((_resolved(fam).H ** 2) * _Y).exp(),
-            n,
-        ),
+        lambda r: (c0_compose(-_X), exp_factor(_Y, 2)),
         "r = 2, x = 0, y -> x, z -> y: Hermite-type based member",
         requires_r=2,
     )
@@ -742,13 +630,8 @@ def _make_reductions() -> dict[str, _Reduction]:
         lambda fam, n: fam.member(n).substitute(
             {"x": (MultiPoly.const(1) - _X) * half, "y": (_X + 1) * half, "z": 0}
         ),
-        lambda fam, n: _weighted_coeff(
-            fam,
-            _resolved(fam).A
-            * c0_compose((MultiPoly.const(1) - _X) * half, _resolved(fam).H)
-            * c0_compose(-((_X + 1) * half), _resolved(fam).H),
-            n,
-        ),
+        lambda r: (c0_compose((MultiPoly.const(1) - _X) * half),
+                   c0_compose(-((_X + 1) * half))),
         "r = 1, x -> (1-x)/2, y -> (1+x)/2, z = 0: Legendre based member",
         requires_r=1,
     )

@@ -432,28 +432,27 @@ def _suite_leghp_r_vs_table(max_n: int) -> list[OracleResult]:
 
 
 def _suite_series_vs_naive(max_n: int) -> list[OracleResult]:
+    from .pairs import get_pair
+
     order = max_n
+    identity = get_pair("identity")
     cases = [
         ("exp(yt) * C_0(-x t^2)",
-         families.legendre_s_series(order),
+         [families.exp_factor(_Y), families.c0_compose(-_X, 2)],
          [rule_exp(_Y, 1), rule_c0(-_X, 2)]),
         ("exp(yt) * exp(z t^2)",
-         (families.Series.monomial(_Y, 1, order)
-          + families.Series.monomial(_Z, 2, order)).exp(),
+         [families.exp_factor(_Y), families.exp_factor(_Z, 2)],
          [rule_exp(_Y, 1), rule_exp(_Z, 2)]),
         ("C_0(xt) * C_0(-yt) * exp(z t^3)",
-         families.leghp_r_series(3, order),
+         families.leghp_phi("R", 3),
          [rule_c0(_X, 1), rule_c0(-_Y, 1), rule_exp(_Z, 3)]),
     ]
     out = []
-    for label, engine_series, rules in cases:
+    for label, factors, rules in cases:
+        engine = families.expand(identity, factors, order)
         naive = oracle_series_product(rules, order)
         for n in range(order + 1):
-            engine_c = engine_series.coeffs[n]
-            if not isinstance(engine_c, MultiPoly):
-                engine_c = MultiPoly.const(engine_c)
-            out.append(OracleResult(
-                f"{label}: [t^{n}]", engine_c, naive[n]))
+            out.append(OracleResult(f"{label}: [t^{n}]", engine[n], naive[n]))
     return out
 
 

@@ -42,6 +42,7 @@ cannot define a Sheffer pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -52,6 +53,18 @@ Params = dict[str, Fraction]
 
 # a little margin so internal divisions by t keep full precision
 _MARGIN = 2
+
+# the package's one memo: every derived value (resolved pairs, Sheffer
+# matrices, family members) is computed once per process and shared
+_MEMO: dict = {}
+
+
+def memo(key, make):
+    """The value stored under key, computed by make() on first use."""
+    got = _MEMO.get(key)
+    if got is None:
+        got = _MEMO[key] = make()
+    return got
 
 
 def _t(order: int) -> Series:
@@ -114,15 +127,25 @@ def _fraction_pow(c: Fraction, q: Fraction) -> Fraction:
     base = c ** num  # Fraction handles negative integer exponents exactly
     if den == 1:
         return base
+    roots = _iroot(base.numerator, den), _iroot(base.denominator, den)
+    if None in roots:
+        raise ValueError(f"{c}^({q}) is not an exact rational")
+    return Fraction(*roots)
 
-    def iroot(n: int, k: int) -> int:
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** k == n:
-                return cand
-        raise ValueError(f"{n} has no exact integer {k}-th root")
 
-    return Fraction(iroot(base.numerator, den), iroot(base.denominator, den))
+def _iroot(n: int, k: int) -> int | None:
+    """The integer k-th root of n > 0, or None when n is not a k-th power."""
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton iteration from above converges to floor(n^(1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == n else None
 
 
 @dataclass(frozen=True)
@@ -163,15 +186,13 @@ class ShefferPair:
         return self.builder(self.param_dict(), order)
 
     def resolved(self, order: int) -> ResolvedPair:
-        key = (self.name, self.params, order)
-        got = _RESOLVED_CACHE.get(key)
-        if got is None:
+        def make():
             built = self.build(order)
             H = built.f.compositional_inverse()
             A = built.g.compose(H).reciprocal()
-            got = ResolvedPair(built.g, built.f, H, A)
-            _RESOLVED_CACHE[key] = got
-        return got
+            return ResolvedPair(built.g, built.f, H, A)
+
+        return memo(("resolved", self.name, self.params, order), make)
 
     def metadata(self) -> dict:
         built = self.build(4)
@@ -188,16 +209,14 @@ class ShefferPair:
         }
 
 
-_RESOLVED_CACHE: dict = {}
-
-
 # -- the builders -----------------------------------------------------------------
 
 
 def _build_generalized_hermite(p: Params, order: int) -> PairSeries:
-    nu, k = p["nu"], int(p["k"])
-    if nu == 0 or k < 1:
+    nu, k = p["nu"], p["k"]
+    if nu == 0 or k.denominator != 1 or k < 1:
         raise ValueError("generalized-hermite needs nu != 0 and integer k >= 1")
+    k = int(k)
     t = _t(order)
     g = ((t / nu) ** k).exp()
     f = t / nu

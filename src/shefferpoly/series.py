@@ -1,12 +1,13 @@
 """Truncated formal power series with exact coefficients.
 
-A :class:`Series` holds the coefficients of t^0 .. t^N for a fixed
-truncation order N.  Coefficients are either `fractions.Fraction` (scalar
-series such as the pair functions g, f, A, H) or :class:`MultiPoly`
-(polynomial-coefficient series such as generating functions in x, y, z);
-the two kinds mix freely in products.  Every operation is exact through
-the result's order and truncation is the only "approximation" anywhere:
-combining series of different orders truncates to the smaller one.
+A :class:`Series` holds the rational coefficients of t^0 .. t^N for a
+fixed truncation order N: the pair functions g, f, A, H and the columns
+A*H^k of a pair's Sheffer matrix.  Series are scalar only; polynomial
+families are assembled from these scalar columns and closed-form
+coefficients in x, y, z (see the families module).  Every operation is
+exact through the result's order and truncation is the only
+"approximation" anywhere: combining series of different orders truncates
+to the smaller one.
 
 Supported calculus: Cauchy product, integer powers, reciprocal of a unit
 series, exp of a series with zero constant term, log of a series with unit
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-from .multipoly import MultiPoly
 
 
 class SeriesError(ValueError):
@@ -50,12 +49,21 @@ class OrderTooSmall(SeriesError):
     """The requested coefficient lies beyond the truncation order."""
 
 
+class NonScalarCoefficient(SeriesError, TypeError):
+    """Series coefficients must be exact rationals (int or Fraction)."""
+
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _is_zero_coeff(c) -> bool:
-    return not c
+def _scalar(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise NonScalarCoefficient(
+        f"series coefficients must be rationals, not {type(c).__name__}")
 
 
 class Series:
@@ -73,7 +81,7 @@ class Series:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
-        coeffs = list(coeffs)
+        coeffs = [_scalar(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1 if coeffs else 0
         if order < 0:
@@ -116,12 +124,12 @@ class Series:
 
     @property
     def is_zero(self) -> bool:
-        return all(_is_zero_coeff(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; order+1 if all vanish."""
         for i, c in enumerate(self.coeffs):
-            if not _is_zero_coeff(c):
+            if c:
                 return i
         return self.order + 1
 
@@ -162,8 +170,8 @@ class Series:
         return Series.constant(other, self.order) + (-self)
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            if _is_zero_coeff(other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return Series.zero(self.order)
             return Series([c * other for c in self.coeffs], self.order)
         if not isinstance(other, Series):
@@ -176,9 +184,8 @@ class Series:
             for i in range(k + 1):
                 ai = a[i]
                 bj = b[k - i]
-                if _is_zero_coeff(ai) or _is_zero_coeff(bj):
-                    continue
-                acc = acc + ai * bj
+                if ai and bj:
+                    acc += ai * bj
             out.append(acc)
         return Series(out, n)
 
@@ -222,17 +229,8 @@ class Series:
         return Series(out, self.order + 1)
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse of a series with invertible constant term.
-
-        The constant term must be a nonzero rational (a constant
-        polynomial counts).
-        """
+        """Multiplicative inverse of a series with nonzero constant term."""
         c0 = self.coeffs[0]
-        if isinstance(c0, MultiPoly):
-            if c0.total_degree() > 0:
-                raise ZeroConstantTerm("constant term must be a scalar to invert")
-            c0 = c0.constant_value()
-        c0 = Fraction(c0)
         if not c0:
             raise ZeroConstantTerm("reciprocal of a series with zero constant term")
         inv0 = ONE / c0
@@ -241,15 +239,14 @@ class Series:
             acc = ZERO
             for k in range(1, n + 1):
                 ak = self.coeffs[k]
-                if _is_zero_coeff(ak):
-                    continue
-                acc = acc + ak * out[n - k]
-            out.append(-inv0 * acc if not _is_zero_coeff(acc) else ZERO)
+                if ak:
+                    acc += ak * out[n - k]
+            out.append(-inv0 * acc)
         return Series(out, self.order)
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term."""
-        if not _is_zero_coeff(self.coeffs[0]):
+        if self.coeffs[0]:
             raise NonzeroConstantTerm("exp needs a zero constant term")
         # (exp a)' = a' * exp a  gives the coefficient recurrence
         out = [ONE]
@@ -257,10 +254,9 @@ class Series:
             acc = ZERO
             for k in range(n + 1):
                 ak1 = self.coeffs[k + 1]
-                if _is_zero_coeff(ak1) or _is_zero_coeff(out[n - k]):
-                    continue
-                acc = acc + (k + 1) * ak1 * out[n - k]
-            out.append(acc / (n + 1) if not _is_zero_coeff(acc) else ZERO)
+                if ak1 and out[n - k]:
+                    acc += (k + 1) * ak1 * out[n - k]
+            out.append(acc / (n + 1))
         return Series(out, self.order)
 
     def log(self) -> "Series":
@@ -282,7 +278,7 @@ class Series:
 
     def compose(self, inner: "Series") -> "Series":
         """Evaluate this series at another one with zero constant term."""
-        if not _is_zero_coeff(inner.coeffs[0]):
+        if inner.coeffs[0]:
             raise NonzeroConstantTerm("composition needs inner constant term 0")
         n = min(self.order, inner.order)
         inner = inner.truncate(n)
@@ -296,7 +292,7 @@ class Series:
         if self.order < k:
             raise OrderTooSmall(f"cannot divide order-{self.order} series by t^{k}")
         for i in range(k):
-            if not _is_zero_coeff(self.coeffs[i]):
+            if self.coeffs[i]:
                 raise SeriesError(f"t^{i} coefficient is nonzero; not divisible by t^{k}")
         return Series(self.coeffs[k:], self.order - k)
 
@@ -309,20 +305,20 @@ class Series:
         """
         if self.order < 1:
             raise NotDeltaSeries("need at least order 1 to invert")
-        if not _is_zero_coeff(self.coeffs[0]):
+        if self.coeffs[0]:
             raise NotDeltaSeries("constant term must vanish")
         f1 = self.coeffs[1]
-        if _is_zero_coeff(f1):
+        if not f1:
             raise NotDeltaSeries("linear coefficient must be nonzero")
         N = self.order
         L = N + 1
-        f = [Fraction(c) if not isinstance(c, MultiPoly) else c for c in self.coeffs]
+        f = self.coeffs
         # top entry of f' is unknown at this order; it only influences
         # terms beyond t^N of the Newton correction (the error factor has
         # valuation >= 2), so padding with zero is exact.
         fp = [(k + 1) * f[k + 1] for k in range(N)] + [ZERO]
         g = [ZERO] * L
-        g[1] = ONE / Fraction(f1)
+        g[1] = ONE / f1
         prec = 1
         while prec < N:
             e = _compose_list(f, g, L)
@@ -349,25 +345,23 @@ class Series:
 def _mul_list(a: list, b: list, L: int) -> list:
     out = [ZERO] * L
     for i, ai in enumerate(a):
-        if _is_zero_coeff(ai) or i >= L:
+        if not ai or i >= L:
             continue
         for j in range(L - i):
             bj = b[j]
-            if _is_zero_coeff(bj):
-                continue
-            out[i + j] = out[i + j] + ai * bj
+            if bj:
+                out[i + j] += ai * bj
     return out
 
 
 def _recip_list(a: list, L: int) -> list:
-    inv0 = ONE / Fraction(a[0])
+    inv0 = ONE / a[0]
     out = [inv0] + [ZERO] * (L - 1)
     for n in range(1, L):
         acc = ZERO
         for k in range(1, n + 1):
-            if _is_zero_coeff(a[k]):
-                continue
-            acc = acc + a[k] * out[n - k]
+            if a[k]:
+                acc += a[k] * out[n - k]
         out[n] = -inv0 * acc
     return out
 
@@ -384,33 +378,14 @@ def _compose_list(outer: list, inner: list, L: int) -> list:
 # -- rendering -----------------------------------------------------------------
 
 
-def _split_sign(c) -> tuple[bool, object]:
-    """(is_negative, magnitude); polynomials count as negative only when
-    they are a single negative term."""
-    if isinstance(c, MultiPoly):
-        if len(c.terms) == 1:
-            coeff = next(iter(c.terms.values()))
-            if coeff < 0:
-                return True, -c
-        return False, c
-    return (c < 0, -c) if c < 0 else (False, c)
-
-
-def _coeff_str(c) -> str:
-    if isinstance(c, MultiPoly):
-        s = str(c)
-        return f"({s})" if len(c.terms) > 1 else s
-    return str(c)
-
-
 def series_str(s: Series) -> str:
     """Canonical rendering: ``c0 + c1*t + c2*t^2 + O(t^N+1)``."""
     pieces: list[str] = []
     for k, c in enumerate(s.coeffs):
-        if _is_zero_coeff(c):
+        if not c:
             continue
-        neg, mag = _split_sign(c)
-        body = _coeff_str(mag)
+        neg = c < 0
+        body = str(-c if neg else c)
         if k == 0:
             term = body
         elif k == 1:

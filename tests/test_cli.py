@@ -94,6 +94,20 @@ def test_exit_code_capacity():
     assert code == 3
 
 
+def test_exit_code_inexact_root_of_huge_power():
+    # 2^(20001/2) is irrational; the exact root test must say so, not overflow
+    code, out, err = run_cli("expand", "--pair", "peters", "--param", "mu=20001/2",
+                             "--n", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_exit_code_non_integer_k():
+    code, _, err = run_cli("expand", "--pair", "generalized-hermite", "--param",
+                           "k=5/2", "--n", "2")
+    assert code == 2 and "integer k" in err
+
+
 def test_verify_passing_suite_exit_zero():
     code, out, _ = run_cli("verify", "--suite", "crofton")
     assert code == 0

@@ -50,6 +50,30 @@ def test_tricomi_cn_at_zero():
         assert tricomi_c(n, 4).coeffs[0] == F(1, math.factorial(n))
 
 
+# -- closed-form coefficients of Phi ----------------------------------------------
+
+
+def test_phi_exp_coefficients():
+    from shefferpoly.families import exp_factor, phi_coefficients
+
+    # exp(y u) at order 2: 1 + y u + (y^2/2) u^2, term-by-term Taylor
+    assert phi_coefficients([exp_factor(Y)], 2) == [ONE, Y, Y * Y / 2]
+    # exp(y u + z u^2) at order 2: matches the two-variable Hermite pattern
+    assert phi_coefficients([exp_factor(Y), exp_factor(Z, 2)], 2) == \
+        [ONE, Y, Y * Y / 2 + Z]
+
+
+def test_phi_c0_and_geometric_coefficients():
+    from shefferpoly.families import c0_compose, geometric, phi_coefficients
+
+    # C_0(-x u^2) = 1 + x u^2 + x^2 u^4 / 4 + ...
+    assert phi_coefficients([c0_compose(-X, 2)], 4) == \
+        [ONE, MultiPoly.zero(), X, MultiPoly.zero(), X * X / 4]
+    # 1/(1 - x u - y u^2): the multinomial sums x^2 + y at u^2, x^3 + 2 x y at u^3
+    assert phi_coefficients([geometric((X, 1), (Y, 2))], 3) == \
+        [ONE, X, X * X + Y, X ** 3 + 2 * X * Y]
+
+
 # -- Gould-Hopper ------------------------------------------------------------------
 
 
@@ -176,12 +200,6 @@ def test_pairing_defining_cases():
 def test_pairing_rejects_other_variables():
     with pytest.raises(ValueError):
         umbral_pairing(Series.t(4), Y)
-
-
-def test_pairing_rejects_polynomial_series():
-    h = Series([Y, MultiPoly.const(1)], 1)
-    with pytest.raises(ValueError):
-        umbral_pairing(h, X)
 
 
 def test_biorthogonality_lower_factorial():

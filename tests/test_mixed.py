@@ -247,6 +247,22 @@ def test_integral_rep():
         assert r.integral_rep_check(n).passed
 
 
+def test_integral_rep_detects_a_dropped_term(monkeypatch):
+    # the check compares against an independently generated family, so a
+    # member with one term missing must fail it
+    member = MixedFamily.member
+
+    def dropped(self, n):
+        terms = dict(member(self, n).terms)
+        terms.pop(max(terms))
+        return MultiPoly(terms)
+
+    monkeypatch.setattr(MixedFamily, "member", dropped)
+    for kind in ("S", "R"):
+        for r in (2, 3):
+            assert not fam(LOWER_FACT, kind, r).integral_rep_check(3).passed
+
+
 # -- reductions ----------------------------------------------------------------------------------
 
 
@@ -306,9 +322,7 @@ def test_series_reassembly_from_operator_route():
         a0 = pair.resolved(8).A.coeffs[0]
         for n in range(7):
             want = f.explicit_member(n) * a0
-            got = MultiPoly.const(series.coeffs[n]) if not isinstance(
-                series.coeffs[n], MultiPoly) else series.coeffs[n]
-            assert got * math.factorial(n) == want
+            assert series[n] * math.factorial(n) == want
 
 
 def test_associated_specialization():
@@ -318,15 +332,28 @@ def test_associated_specialization():
     assert b2.resolved(12).f == LOWER_FACT.resolved(12).f
     res = LOWER_FACT.resolved(12)
     assert res.A.coeffs[0] == 1 and all(c == 0 for c in res.A.coeffs[1:])
-    from shefferpoly.families import c0_compose
+    from shefferpoly.families import leghp_phi, phi_coefficients
 
+    # Phi(H) without A: sum_k phi_k H^k, phi_k the u^k coefficients of
+    # C_0(-x u^2) exp(y u + z u^2)
     H = b2.resolved(12).H
-    bare = c0_compose(-X, H * H) * (H * Y + (H ** 2) * Z).exp()
+    phi = phi_coefficients(leghp_phi("S", 2), 12)
     f_assoc = fam(LOWER_FACT, "S", 2)
     for n in range(7):
-        got = bare.coeffs[n]
-        got = got if isinstance(got, MultiPoly) else MultiPoly.const(got)
+        got = sum((phi[k] * (H ** k).coeffs[n] for k in range(n + 1)),
+                  MultiPoly.zero())
         assert got * math.factorial(n) == f_assoc.member(n)
+
+
+def test_member_degree_bound():
+    # every member has total degree <= n: each variable enters Phi with at
+    # least one power of H, and A H^k starts at t^k
+    for pair in (IDENTITY, LOWER_FACT, get_pair("hahn")):
+        for kind in ("S", "R"):
+            for r in (1, 2, 3):
+                f = fam(pair, kind, r, order=10)
+                for n in range(11):
+                    assert f.member(n).total_degree() <= n
 
 
 @pytest.mark.parametrize("name,params", [
