@@ -172,6 +172,8 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {}
     if args.max_n is not None:
+        if args.max_n < 0:
+            raise CliError("--max-n must be >= 0")
         kwargs["max_n"] = args.max_n
     if args.suite == "all":
         if args.max_n is not None:

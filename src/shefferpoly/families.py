@@ -168,6 +168,8 @@ def _members(key, pair, factors, order: int, power: int) -> tuple[MultiPoly, ...
 
 
 def _member_at(members: tuple[MultiPoly, ...], n: int) -> MultiPoly:
+    if n < 0:
+        raise ValueError(f"member index must be >= 0, got {n}")
     if n >= len(members):
         raise OrderTooSmall(f"member {n} beyond truncation order {len(members) - 1}")
     return members[n]

@@ -13,10 +13,11 @@ zero.
 
 Operator power series h(B) = sum h_k B^k act through nilpotency: when B
 strictly lowers the degree in some variable the sum truncates after
-finitely many terms on any polynomial, so the action is exact.  The same
-degree bookkeeping drives :func:`exp_operator`, which refuses to
-exponentiate a generator that does not visibly lower a common variable
-unless the caller supplies an explicit cutoff.
+finitely many terms on any polynomial, so the action is exact.
+:func:`exp_operator` is the operator series exp(B) for a generator
+B = sum c_i op_i, with the same degree bound; it refuses to exponentiate
+a generator that does not visibly lower a common variable unless the
+caller supplies an explicit cutoff.
 
 Everything here is an immutable expression tree; application is pure.
 """
@@ -270,6 +271,19 @@ class Compose(LinOp):
         return "∘".join(op.render() for op in self.ops)
 
 
+def _degree_bound(base: LinOp, p: MultiPoly) -> int | None:
+    """The largest k for which base^k can be nonzero on p, read from the
+    variables whose degree base provably lowers; None when it lowers none."""
+    if p.is_zero:
+        return 0
+    best: int | None = None
+    for v, dv in base.deltas().items():
+        if dv is not None and dv <= -1:
+            k = p.degree_in(v) // (-dv)
+            best = k if best is None else min(best, k)
+    return best
+
+
 class OpSeries(LinOp):
     """An operator power series h(B) = sum_k h_k B^k.
 
@@ -286,19 +300,13 @@ class OpSeries(LinOp):
     def _cutoff_for(self, p: MultiPoly) -> int:
         if self.cutoff is not None:
             return self.cutoff
-        if p.is_zero:
-            return 0
-        best: int | None = None
-        for v, dv in self.base.deltas().items():
-            if dv is not None and dv <= -1:
-                k = p.degree_in(v) // (-dv)
-                best = k if best is None else min(best, k)
-        if best is None:
+        k = _degree_bound(self.base, p)
+        if k is None:
             raise CutoffRequired(
                 f"base operator {self.base.render()} does not lower any degree; "
                 "supply an explicit cutoff"
             )
-        return best
+        return k
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         k_max = self._cutoff_for(p)
@@ -422,45 +430,20 @@ def exp_operator(
 ) -> MultiPoly:
     """Apply exp(sum_i c_i op_i) to a polynomial, exactly.
 
+    The exponential is the operator series exp(B) at B = sum_i c_i op_i.
     Without an explicit cutoff every summand must strictly lower the
     degree of one common variable; the exponential then truncates after
     deg_v(p) steps.  With a cutoff the sum is taken through that power
     regardless (used for identities stated "up to degree d").
     """
-    ops = [Compose((MulPoly(as_poly(c)), op)) for c, op in terms]
-    if cutoff is None:
-        if p.is_zero:
-            return p
-        k_max: int | None = None
-        for v in VARS:
-            drop = None
-            for op in ops:
-                dv = op.deltas()[v]
-                if dv is None or dv > -1:
-                    drop = None
-                    break
-                drop = -dv if drop is None else min(drop, -dv)
-            if drop:
-                k = p.degree_in(v) // drop
-                k_max = k if k_max is None else min(k_max, k)
-        if k_max is None:
-            raise NonNilpotentGenerator(
-                "no variable is lowered by every generator term; "
-                "supply an explicit cutoff"
-            )
-    else:
-        k_max = cutoff
-    out = p
-    cur = p
-    for k in range(1, k_max + 1):
-        nxt = MultiPoly.zero()
-        for op in ops:
-            nxt = nxt + op.apply(cur)
-        cur = nxt / k
-        if cur.is_zero and cutoff is None:
-            break
-        out = out + cur
-    return out
+    gen = OpSum([Compose((MulPoly(as_poly(c)), op)) for c, op in terms])
+    k = cutoff if cutoff is not None else _degree_bound(gen, p)
+    if k is None:
+        raise NonNilpotentGenerator(
+            "no variable is lowered by every generator term; "
+            "supply an explicit cutoff"
+        )
+    return OpSeries(Series.t(k).exp(), gen, k).apply(p)
 
 
 class OpCheck:
@@ -480,25 +463,21 @@ class OpCheck:
         return f"{self.description}: {status}"
 
 
-def crofton_check(m: int, lam: MultiPoly, f_poly: MultiPoly, label: str = "") -> OpCheck:
+def crofton_check(m: int, lam: MultiPoly, f_poly: MultiPoly) -> OpCheck:
     """Check f(y + m*lam*d^(m-1)/dy^(m-1)){1} = exp(lam*d^m/dy^m){f(y)}.
 
     ``f_poly`` is a polynomial in y; ``lam`` must not involve y.
     """
     if lam.depends_on("y"):
         raise OperatorError("the shift coefficient must be free of y")
+    if f_poly.depends_on("x") or f_poly.depends_on("z"):
+        raise OperatorError("the test polynomial must involve y only")
     shifted_arg = OpSum(
         (MulVar("y"), Compose((Scale(m), MulPoly(lam), op_pow(Deriv("y"), m - 1))))
     )
-    lhs = MultiPoly.zero()
-    one = MultiPoly.const(1)
-    for e, c in f_poly.terms.items():
-        if e[0] or e[2]:
-            raise OperatorError("the test polynomial must involve y only")
-        lhs = lhs + op_pow(shifted_arg, e[1]).apply(one) * c
+    lhs = substitute_operators(f_poly, {"y": shifted_arg})
     rhs = exp_operator([(lam, op_pow(Deriv("y"), m))], f_poly)
-    desc = label or f"shift identity m={m}"
-    return OpCheck(desc, lhs, rhs)
+    return OpCheck(f"shift identity m={m}", lhs, rhs)
 
 
 def substitute_operators(

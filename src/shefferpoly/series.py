@@ -14,9 +14,10 @@ series, exp of a series with zero constant term, log of a series with unit
 constant term, rational powers of a unit series, composition with a series
 of zero constant term, derivative, and compositional inverse of a delta
 series (zero constant term, nonzero linear term).  The compositional
-inverse uses Newton iteration, doubling the correct order each step; an
-independent Lagrange-inversion implementation lives in the oracle module
-so the two can cross-check each other.
+inverse uses Newton iteration built from the same product, reciprocal and
+composition, doubling the working precision each step; an independent
+Lagrange-inversion implementation lives in the oracle module so the two
+can cross-check each other.
 """
 
 from __future__ import annotations
@@ -300,8 +301,10 @@ class Series:
         """Inverse under composition of a delta series.
 
         Requires f(0) = 0 and f'(0) != 0; the result g satisfies
-        f(g(t)) = g(f(t)) = t through the truncation order.  Newton
-        iteration doubles the number of correct coefficients per step.
+        f(g(t)) = g(f(t)) = t through the truncation order.  Each Newton
+        step g <- g - (f(g) - t) / f'(g) at least doubles the number of
+        correct coefficients, so it runs at working precision min(2 prec, N)
+        on ordinary series operations.
         """
         if self.order < 1:
             raise NotDeltaSeries("need at least order 1 to invert")
@@ -311,24 +314,18 @@ class Series:
         if not f1:
             raise NotDeltaSeries("linear coefficient must be nonzero")
         N = self.order
-        L = N + 1
-        f = self.coeffs
-        # top entry of f' is unknown at this order; it only influences
+        # the top entry of f' is unknown at this order; it only influences
         # terms beyond t^N of the Newton correction (the error factor has
         # valuation >= 2), so padding with zero is exact.
-        fp = [(k + 1) * f[k + 1] for k in range(N)] + [ZERO]
-        g = [ZERO] * L
-        g[1] = ONE / f1
+        fp = Series(self.derivative().coeffs + [ZERO], N)
+        g = Series([ZERO, ONE / f1], 1)
         prec = 1
         while prec < N:
-            e = _compose_list(f, g, L)
-            e[1] = e[1] - 1
-            fpg = _compose_list(fp, g, L)
-            inv = _recip_list(fpg, L)
-            corr = _mul_list(e, inv, L)
-            g = [gi - ci for gi, ci in zip(g, corr)]
-            prec *= 2
-        return Series(g, N)
+            prec = min(2 * prec, N)
+            g = Series(g.coeffs, prec)
+            err = self.truncate(prec).compose(g) - Series.t(prec)
+            g = g - err * fp.truncate(prec).compose(g).reciprocal()
+        return g
 
     # -- rendering ------------------------------------------------------------
 
@@ -337,42 +334,6 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({series_str(self)})"
-
-
-# -- plain-list helpers used by the Newton inverse -----------------------------
-
-
-def _mul_list(a: list, b: list, L: int) -> list:
-    out = [ZERO] * L
-    for i, ai in enumerate(a):
-        if not ai or i >= L:
-            continue
-        for j in range(L - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _recip_list(a: list, L: int) -> list:
-    inv0 = ONE / a[0]
-    out = [inv0] + [ZERO] * (L - 1)
-    for n in range(1, L):
-        acc = ZERO
-        for k in range(1, n + 1):
-            if a[k]:
-                acc += a[k] * out[n - k]
-        out[n] = -inv0 * acc
-    return out
-
-
-def _compose_list(outer: list, inner: list, L: int) -> list:
-    result = [ZERO] * L
-    result[0] = outer[L - 1]
-    for k in range(L - 2, -1, -1):
-        result = _mul_list(result, inner, L)
-        result[0] = result[0] + outer[k]
-    return result
 
 
 # -- rendering -----------------------------------------------------------------

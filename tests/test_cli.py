@@ -119,6 +119,15 @@ def test_verify_unknown_suite():
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["integral", "reductions", "operational",
+                                   "biorthogonality"])
+def test_verify_negative_max_n_is_usage_error(capsys, suite):
+    # with max_n < 0 these suites would run no per-n check and still pass
+    assert main(["verify", "--suite", suite, "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-n must be >= 0" in captured.err
+
+
 def test_verify_json_report(capsys):
     assert main(["verify", "--suite", "inverse", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

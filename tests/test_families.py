@@ -165,6 +165,18 @@ def test_order_too_small():
         leghp_S(9, 2, 5)
 
 
+def test_negative_member_index_is_rejected():
+    # a negative n must not read a member from the end of the stored tuple
+    from shefferpoly import MixedFamily
+
+    with pytest.raises(ValueError, match="must be >= 0"):
+        MixedFamily(get_pair("identity"), "S", 2, 4).member(-1)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        sheffer_poly(get_pair("lower-factorial"), -1)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        leghp_R(-1, 2, 4)
+
+
 # -- Sheffer members -------------------------------------------------------------------
 
 

@@ -170,6 +170,26 @@ def test_r_kind_theta_variant_passes_catalog_wide():
             assert rep.passing(ident, "theta", "egf"), (pair.name, ident)
 
 
+def test_r_rows_fail_when_theta_loses_its_sign(monkeypatch):
+    # Theta without its -1 breaks every theta-variant identity at egf
+    # weight; the R-kind rows assert those, so each one must now FAIL
+    from shefferpoly import mixed
+    from shefferpoly.operators import compose, mul_var
+    from shefferpoly.suites import suite_monomiality
+
+    monkeypatch.setattr(mixed, "theta_operator",
+                        lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
+    rep = fam(LOWER_FACT, "R", 2, 4).verify_monomiality(1)
+    for ident in ("raising", "lowering", "diffeq", "commutator"):
+        assert not rep.passing(ident, "theta", "egf"), ident
+    assert not rep.core_pass
+    rows = suite_monomiality(order=4, max_n=1)
+    r_rows = [c for c in rows if "R-kind" in c.name]
+    s_rows = [c for c in rows if "S-kind" in c.name]
+    assert len(r_rows) == 28 and not any(c.passed for c in r_rows)
+    assert len(s_rows) == 28 and all(c.passed for c in s_rows)
+
+
 def test_report_json_round_trip():
     import json
 

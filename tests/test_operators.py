@@ -27,7 +27,7 @@ from shefferpoly import (
     scale,
     substitute_operators,
 )
-from shefferpoly.operators import monomials_up_to
+from shefferpoly.operators import OperatorError, monomials_up_to
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -145,6 +145,11 @@ def test_crofton_hand_cases():
     assert crofton_check(2, Z, ONE).passed  # constant f
     chk3 = crofton_check(2, Z, Y ** 3)
     assert chk3.passed and chk3.lhs == Y ** 3 + 6 * Z * Y
+    for bad in (X * Y, Y + Z):
+        with pytest.raises(OperatorError, match="must involve y only"):
+            crofton_check(2, Z, bad)
+    with pytest.raises(OperatorError, match="free of y"):
+        crofton_check(2, Y, Y ** 2)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -176,10 +181,18 @@ def test_exp_operator_two_commuting_terms():
 
 
 def test_exp_operator_rejects_non_nilpotent():
-    with pytest.raises(NonNilpotentGenerator):
-        exp_operator([(F(1), compose(inv_deriv("y"), deriv("y")))], Y)
-    with pytest.raises(NonNilpotentGenerator):
-        exp_operator([(F(1), inv_deriv("x"))], ONE)
+    cases = [
+        ([(F(1), compose(inv_deriv("y"), deriv("y")))], Y),
+        ([(F(1), inv_deriv("x"))], ONE),
+        # each term lowers a variable, but no variable is lowered by both
+        ([(F(1), deriv("x")), (Z, deriv("y"))], X * Y),
+    ]
+    for terms, p in cases:
+        with pytest.raises(NonNilpotentGenerator) as exc:
+            exp_operator(terms, p)
+        # the operational suite prints this message in its recorded R-kind row
+        assert str(exc.value) == ("no variable is lowered by every generator "
+                                  "term; supply an explicit cutoff")
 
 
 def test_exp_operator_explicit_cutoff():

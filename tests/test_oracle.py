@@ -10,7 +10,9 @@ from shefferpoly import (
     MultiPoly,
     UnknownRow,
     UnknownSuite,
+    catalog,
     cross_validate,
+    get_pair,
     lagrange_inverse,
     oracle_explicit_sum,
     oracle_series_product,
@@ -72,6 +74,16 @@ def test_lagrange_inverse_log_series():
     got = lagrange_inverse(f, 8)
     want = [F(0)] + [F((-1) ** (n + 1), n) for n in range(1, 9)]
     assert got == want
+
+
+def test_newton_inverse_matches_lagrange_oracle():
+    # order 1 takes no Newton step; most of these orders are not powers
+    # of two, so the last step runs at a clipped working precision
+    for pair in catalog() + [get_pair("identity")]:
+        for order in list(range(1, 21)) + [32]:
+            f = pair.build(order).f
+            assert f.compositional_inverse().coeffs == \
+                lagrange_inverse(f.coeffs, order), (pair.name, order)
 
 
 def test_lagrange_inverse_rejects_non_delta():
