@@ -40,6 +40,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .multipoly import MultiPoly
 from .operators import (
@@ -127,6 +129,7 @@ class MixedFamily:
 
     # -- quasi-monomial operators ---------------------------------------------
 
+    @cached_property
     def _series_factors(self) -> tuple[Series, Series]:
         """(g'/g, 1/f') as scalar series, order one below the working order."""
         res = self.pair.resolved(self.order)
@@ -144,7 +147,7 @@ class MixedFamily:
         """
         if variant not in ("printed", "theta"):
             raise ValueError(f"unknown raising variant {variant!r}")
-        gp_over_g, recip_fp = self._series_factors()
+        gp_over_g, recip_fp = self._series_factors
         if self.kind == "S":
             head = (mul_var("y"), compose(scale(2), inv_deriv("x"), deriv("y")))
         else:
@@ -203,26 +206,28 @@ class MixedFamily:
             variants, norms = ("printed",), ("egf",)
         else:
             variants, norms = ("printed", "theta"), ("egf", "stored")
+        weighted = {"egf": self.egf_member, "stored": self.member}
+        members = {norm: [weighted[norm](n) for n in range(max_n + 2)] for norm in norms}
         records: list[CheckRecord] = []
         for vname in variants:
             M = self.raising_operator(vname)
             P = self.lowering_operator(vname)
             for n in range(max_n + 1):
                 for norm in norms:
-                    at = self.egf_member if norm == "egf" else self.member
-                    mn = at(n)
-                    down = at(n - 1) * n if n else MultiPoly.zero()
+                    at = members[norm]
+                    mn = at[n]
+                    down = at[n - 1] * n if n else MultiPoly.zero()
                     records.append(_record(
-                        "raising", n, vname, norm, M.apply(mn), at(n + 1)))
+                        "raising", n, vname, norm, M.apply(mn), at[n + 1]))
                     records.append(_record(
                         "lowering", n, vname, norm, P.apply(mn), down))
-                mn = self.egf_member(n)
+                mn = members["egf"][n]
                 records.append(_residual_record(
                     "diffeq", n, vname, "egf", M.apply(P.apply(mn)) - mn * n))
             com = commutator_check(P, M, degree)
             records.append(CheckRecord(
                 "commutator", degree, vname, "egf",
-                com.passed, None if com.passed else com.describe()))
+                com.passed, None if com.passed else com.describe))
         return MonomialityReport(
             pair=self.pair.name, kind=self.kind, r=self.r,
             max_n=max_n, records=records,
@@ -325,14 +330,34 @@ def sheffer_poly_in_y(pair: ShefferPair, n: int, order: int) -> MultiPoly:
 # -- check bookkeeping ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckRecord:
+    """One verdict.  ``detail`` is None on a pass; on a failure it is the
+    witness text, or a callable that renders it when ``witness`` is first
+    read (most failing records are never printed)."""
+
     identity: str
     n: int
     variant: str
     normalization: str
     passed: bool
-    witness: str | None
+    detail: str | Callable[[], str] | None = field(repr=False)
+
+    @cached_property
+    def witness(self) -> str | None:
+        return self.detail() if callable(self.detail) else self.detail
+
+    def _key(self) -> tuple:
+        return (self.identity, self.n, self.variant, self.normalization,
+                self.passed, self.witness)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CheckRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json_dict(self) -> dict:
         return {
@@ -347,14 +372,14 @@ class CheckRecord:
 
 def _record(identity, n, variant, norm, got, want) -> CheckRecord:
     ok = got == want
-    witness = None if ok else f"got {got}; expected {want}"
-    return CheckRecord(identity, n, variant, norm, ok, witness)
+    return CheckRecord(identity, n, variant, norm, ok,
+                       None if ok else lambda: f"got {got}; expected {want}")
 
 
 def _residual_record(identity, n, variant, norm, residual: MultiPoly) -> CheckRecord:
     ok = residual.is_zero
     return CheckRecord(identity, n, variant, norm, ok,
-                       None if ok else f"residual {residual}")
+                       None if ok else lambda: f"residual {residual}")
 
 
 @dataclass(frozen=True)

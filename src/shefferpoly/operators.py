@@ -19,15 +19,23 @@ B = sum c_i op_i, with the same degree bound; it refuses to exponentiate
 a generator that does not visibly lower a common variable unless the
 caller supplies an explicit cutoff.
 
-Everything here is an immutable expression tree; application is pure.
+Every operator defines only its image of one monomial; ``LinOp.apply`` is
+the one linear extension.  Each instance memoizes its images, so an
+operator applied to many polynomials (the raising and lowering operators
+of a monomiality check, over every member and every commutator test
+monomial) computes the image of each monomial once; the memo is freed with
+the operator.  Operators are immutable expression trees and application is
+pure: a memo write stores the value any other call would compute, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .multipoly import VARS, VAR_INDEX, MultiPoly, as_poly
+from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, as_poly
 from .series import OrderTooSmall, Series
 
 
@@ -55,11 +63,59 @@ def _zero_deltas() -> Deltas:
     return {v: 0 for v in VARS}
 
 
+_ONE = Fraction(1)
+
+
+def _term(e: Exponent, c: Fraction = _ONE) -> MultiPoly:
+    """c times the monomial with exponents e (zero when c is 0)."""
+    return MultiPoly._raw({e: c} if c else {})
+
+
+def _bump(e: Exponent, i: int, step: int) -> Exponent:
+    return e[:i] + (e[i] + step,) + e[i + 1:]
+
+
+def _combine(parts: list[tuple[Fraction, MultiPoly]]) -> MultiPoly:
+    """The exact sum of c * q over parts (c, q), with the output terms
+    summed in integers over one common denominator: one Fraction each.
+    A single unscaled part is returned as it is (polynomials are immutable)."""
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    den = lcm(*(c.denominator * k.denominator for c, q in parts for k in q.terms.values()))
+    acc: dict[Exponent, int] = {}
+    for c, q in parts:
+        f = c.numerator * den // c.denominator
+        for e, k in q.terms.items():
+            acc[e] = acc.get(e, 0) + f * k.numerator // k.denominator
+    return MultiPoly._raw({e: Fraction(n, den) for e, n in acc.items() if n})
+
+
 class LinOp:
-    """Base class for formal linear operators on MultiPoly."""
+    """Base class for formal linear operators on MultiPoly.
+
+    A subclass defines ``image(e)``, its action on the single monomial
+    with exponents e.  ``apply`` is the linear extension, written once
+    here: each image is computed once per instance and kept in the
+    instance's memo, and the scaled images are summed by :func:`_combine`.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls)
+        self._images = {}
+        return self
+
+    def image(self, e: Exponent) -> MultiPoly:
+        raise NotImplementedError
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        raise NotImplementedError
+        images = self._images
+        parts = []
+        for e, c in p.terms.items():
+            img = images.get(e)
+            if img is None:
+                img = images[e] = self.image(e)
+            parts.append((c, img))
+        return _combine(parts)
 
     def deltas(self) -> Deltas:
         raise NotImplementedError
@@ -92,8 +148,8 @@ class LinOp:
 
 
 class Identity(LinOp):
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        return p
+    def image(self, e: Exponent) -> MultiPoly:
+        return _term(e)
 
     def deltas(self) -> Deltas:
         return _zero_deltas()
@@ -106,8 +162,8 @@ class Scale(LinOp):
     def __init__(self, c):
         self.c = Fraction(c)
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        return p * self.c
+    def image(self, e: Exponent) -> MultiPoly:
+        return _term(e, self.c)
 
     def deltas(self) -> Deltas:
         return _zero_deltas()
@@ -122,8 +178,8 @@ class MulPoly(LinOp):
     def __init__(self, poly: MultiPoly):
         self.poly = as_poly(poly)
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        return p * self.poly
+    def image(self, e: Exponent) -> MultiPoly:
+        return self.poly * _term(e)
 
     def deltas(self) -> Deltas:
         if self.poly.is_zero:
@@ -139,14 +195,8 @@ class MulVar(LinOp):
         self.var = var
         self.index = VAR_INDEX[var]
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        i = self.index
-        out = {}
-        for e, c in p.terms.items():
-            e2 = list(e)
-            e2[i] += 1
-            out[tuple(e2)] = c
-        return MultiPoly._raw(out)
+    def image(self, e: Exponent) -> MultiPoly:
+        return _term(_bump(e, self.index, 1))
 
     def deltas(self) -> Deltas:
         d = _zero_deltas()
@@ -162,17 +212,8 @@ class Deriv(LinOp):
         self.var = var
         self.index = VAR_INDEX[var]
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        i = self.index
-        out = {}
-        for e, c in p.terms.items():
-            k = e[i]
-            if not k:
-                continue
-            e2 = list(e)
-            e2[i] = k - 1
-            out[tuple(e2)] = c * k
-        return MultiPoly._raw(out)
+    def image(self, e: Exponent) -> MultiPoly:
+        return _term(_bump(e, self.index, -1), Fraction(e[self.index]))
 
     def deltas(self) -> Deltas:
         d = _zero_deltas()
@@ -188,14 +229,8 @@ class InvDeriv(LinOp):
         self.var = var
         self.index = VAR_INDEX[var]
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        i = self.index
-        out = {}
-        for e, c in p.terms.items():
-            e2 = list(e)
-            e2[i] += 1
-            out[tuple(e2)] = c / (e[i] + 1)
-        return MultiPoly._raw(out)
+    def image(self, e: Exponent) -> MultiPoly:
+        return _term(_bump(e, self.index, 1), Fraction(1, e[self.index] + 1))
 
     def deltas(self) -> Deltas:
         d = _zero_deltas()
@@ -216,11 +251,8 @@ class OpSum(LinOp):
                 flat.append(op)
         self.ops = tuple(flat)
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero()
-        for op in self.ops:
-            out = out + op.apply(p)
-        return out
+    def image(self, e: Exponent) -> MultiPoly:
+        return _combine([(_ONE, op.apply(_term(e))) for op in self.ops])
 
     def deltas(self) -> Deltas:
         d: Deltas = {}
@@ -251,7 +283,8 @@ class Compose(LinOp):
                 flat.append(op)
         self.ops = tuple(flat)
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
+    def image(self, e: Exponent) -> MultiPoly:
+        p = _term(e)
         for op in reversed(self.ops):
             p = op.apply(p)
         return p
@@ -271,13 +304,14 @@ class Compose(LinOp):
         return "∘".join(op.render() for op in self.ops)
 
 
-def _degree_bound(base: LinOp, p: MultiPoly) -> int | None:
-    """The largest k for which base^k can be nonzero on p, read from the
-    variables whose degree base provably lowers; None when it lowers none."""
+def _degree_bound(deltas: Deltas, p: MultiPoly) -> int | None:
+    """The largest k for which B^k can be nonzero on p, read from the
+    variables whose degree B provably lowers (``deltas`` are B's); None
+    when it lowers none."""
     if p.is_zero:
         return 0
     best: int | None = None
-    for v, dv in base.deltas().items():
+    for v, dv in deltas.items():
         if dv is not None and dv <= -1:
             k = p.degree_in(v) // (-dv)
             best = k if best is None else min(best, k)
@@ -290,17 +324,24 @@ class OpSeries(LinOp):
     Application uses the nilpotency cutoff: if B provably lowers the
     degree of some variable, only finitely many terms act on a given
     polynomial.  Otherwise an explicit ``cutoff`` must be supplied.
+    ``apply`` checks that cutoff against the series order on the whole
+    polynomial first.  The image of one monomial e walks B e, B^2 e, ...
+    through B's own memoized images until the power vanishes (or through
+    the explicit cutoff).  For a weighted-shift base (d/dy, Theta,
+    -d/dx x d/dy) each step is one monomial, so the closed form
+    h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k) is what the walk computes.
     """
 
     def __init__(self, series: Series, base: LinOp, cutoff: int | None = None):
         self.series = series
         self.base = base
         self.cutoff = cutoff
+        self._base_deltas = base.deltas()
 
     def _cutoff_for(self, p: MultiPoly) -> int:
         if self.cutoff is not None:
             return self.cutoff
-        k = _degree_bound(self.base, p)
+        k = _degree_bound(self._base_deltas, p)
         if k is None:
             raise CutoffRequired(
                 f"base operator {self.base.render()} does not lower any degree; "
@@ -315,15 +356,18 @@ class OpSeries(LinOp):
                 f"operator series of order {self.series.order} applied where "
                 f"{k_max} terms are needed"
             )
-        out = MultiPoly.zero()
-        cur = p
-        for k in range(k_max + 1):
-            hk = self.series.coeffs[k]
-            if hk:
-                out = out + cur * hk
-            if k < k_max:
-                cur = self.base.apply(cur)
-        return out
+        return super().apply(p)
+
+    def image(self, e: Exponent) -> MultiPoly:
+        hs = self.series.coeffs if self.cutoff is None else self.series.coeffs[: self.cutoff + 1]
+        cur = _term(e)
+        parts = [(hs[0], cur)]
+        for hk in hs[1:]:
+            cur = self.base.apply(cur)
+            if cur.is_zero:
+                break
+            parts.append((hk, cur))
+        return _combine(parts)
 
     def deltas(self) -> Deltas:
         base = self.base.deltas()
@@ -437,7 +481,7 @@ def exp_operator(
     regardless (used for identities stated "up to degree d").
     """
     gen = OpSum([Compose((MulPoly(as_poly(c)), op)) for c, op in terms])
-    k = cutoff if cutoff is not None else _degree_bound(gen, p)
+    k = cutoff if cutoff is not None else _degree_bound(gen.deltas(), p)
     if k is None:
         raise NonNilpotentGenerator(
             "no variable is lowered by every generator term; "

@@ -459,10 +459,12 @@ def _suite_series_vs_naive(max_n: int) -> list[OracleResult]:
 def _suite_lagrange_vs_newton(max_n: int) -> list[OracleResult]:
     from .pairs import catalog
 
+    # inversion needs order >= 1; coefficients 0..max_n are compared
+    order = max(max_n, 1)
     out = []
     for pair in catalog():
-        res = pair.resolved(max_n)
-        lag = lagrange_inverse(res.f.coeffs, max_n)
+        res = pair.resolved(order)
+        lag = lagrange_inverse(res.f.coeffs, order)
         for n in range(max_n + 1):
             out.append(OracleResult(
                 f"compositional inverse of {pair.name} f: [t^{n}]",

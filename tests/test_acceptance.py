@@ -7,11 +7,13 @@ with ``pytest -s``) and asserts the same condition.
 Run: ``pytest tests/test_acceptance.py -v -s``
 """
 
+import hashlib
 import math
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 from shefferpoly import (
     MixedFamily,
@@ -29,6 +31,7 @@ from shefferpoly.suites import (
 )
 
 ORDER = 12
+GOLDEN = Path(__file__).parent / "golden"
 Y = MultiPoly.var("y")
 Z = MultiPoly.var("z")
 
@@ -150,14 +153,19 @@ def test_criterion_9_oracle_suites_and_runtime():
         for res in cross_validate(name, 8):
             if not res.equal:
                 bad.append(f"{name}: {res.description}")
-    # cold full verification run in a fresh interpreter, timed
+    # cold full verification run in a fresh interpreter, timed; its JSON
+    # report must also be byte-identical to the pinned one
     t0 = time.time()
     proc = subprocess.run(
-        [sys.executable, "-m", "shefferpoly.cli", "verify", "--suite", "all"],
+        [sys.executable, "-m", "shefferpoly.cli", "verify", "--suite", "all",
+         "--format", "json", "--order", "12"],
         capture_output=True, text=True)
     elapsed = time.time() - t0
     runtime_ok = proc.returncode == 0 and elapsed < 60.0
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    pinned = (GOLDEN / "verify_all_o12.sha256").read_text().strip()
     _report("9 oracle independence + full run under one minute",
-            not bad and runtime_ok,
-            f"verify --suite all: exit {proc.returncode} in {elapsed:.1f}s"
+            not bad and runtime_ok and digest == pinned,
+            f"verify --suite all: exit {proc.returncode} in {elapsed:.1f}s, "
+            f"sha256 {digest[:8]} (pinned {pinned[:8]})"
             if not bad else str(bad[:3]))

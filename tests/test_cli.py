@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from shefferpoly.cli import main
+from shefferpoly.suites import SUITES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -126,6 +127,24 @@ def test_verify_negative_max_n_is_usage_error(capsys, suite):
     assert main(["verify", "--suite", suite, "--max-n", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--max-n must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_max_n_zero_is_accepted(capsys, suite):
+    # max_n = 0 is the smallest valid bound for every suite
+    assert len(SUITES) == 9
+    assert main(["verify", "--suite", suite, "--max-n", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_package_runs_as_module():
+    proc = subprocess.run([sys.executable, "-m", "shefferpoly", "list"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.strip().splitlines()) == 14
+    proc = subprocess.run([sys.executable, "-m", "shefferpoly", "verify",
+                           "--suite", "bogus"], capture_output=True, text=True)
+    assert proc.returncode == 2
 
 
 def test_verify_json_report(capsys):

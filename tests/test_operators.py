@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from shefferpoly import (
     CutoffRequired,
+    MixedFamily,
     MultiPoly,
     NonNilpotentGenerator,
     OpSeries,
@@ -18,6 +19,7 @@ from shefferpoly import (
     crofton_check,
     deriv,
     exp_operator,
+    get_pair,
     identity,
     inv_deriv,
     mul_poly,
@@ -26,8 +28,17 @@ from shefferpoly import (
     op_sum,
     scale,
     substitute_operators,
+    theta_operator,
 )
-from shefferpoly.operators import OperatorError, monomials_up_to
+from shefferpoly import operators
+from shefferpoly.multipoly import as_poly
+from shefferpoly.operators import (
+    Compose,
+    MulPoly,
+    OperatorError,
+    OpSum,
+    monomials_up_to,
+)
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -224,3 +235,113 @@ def test_operator_rendering_is_stable():
     op = op_sum(mul_var("y"), F(2) * compose(inv_deriv("x"), deriv("y")))
     assert op.render() == "(y + 2∘D_x^-1∘d/dy)"
     assert identity().render() == "1"
+
+
+# -- the memoized monomial kernel ---------------------------------------------------------
+#
+# The references below use plain MultiPoly arithmetic only: B^k p is built
+# by repeated naive differentiation or antidifferentiation of the whole
+# polynomial, independently of the operator classes.
+
+
+def _naive_d(p, i):
+    return MultiPoly({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                      for e, c in p.terms.items() if e[i]})
+
+
+def _naive_int(p, i):
+    return MultiPoly({e[:i] + (e[i] + 1,) + e[i + 1:]: c / (e[i] + 1)
+                      for e, c in p.terms.items()})
+
+
+def _exp_generator():
+    # the generator exp_operator builds for exp(D_x^-1 d_y^2 + z d_y^2)
+    terms = [(F(1), compose(inv_deriv("x"), op_pow(deriv("y"), 2))),
+             (Z, op_pow(deriv("y"), 2))]
+    return OpSum([Compose((MulPoly(as_poly(c)), op)) for c, op in terms])
+
+
+# (name, operator factory, naive one-step reference, explicit cutoff or None)
+KERNEL_BASES = [
+    ("d/dy", lambda: deriv("y"), lambda p: _naive_d(p, 1), None),
+    ("theta", theta_operator, lambda p: -_naive_d(X * _naive_d(p, 0), 0), None),
+    ("-d_x x d_y", lambda: compose(scale(-1), deriv("x"), mul_var("x"), deriv("y")),
+     lambda p: -_naive_d(X * _naive_d(p, 1), 0), None),
+    ("D_x^-1", lambda: inv_deriv("x"), lambda p: _naive_int(p, 0), 3),
+    ("exp generator", _exp_generator,
+     lambda p: _naive_int(_naive_d(_naive_d(p, 1), 1), 0)
+     + Z * _naive_d(_naive_d(p, 1), 1), None),
+]
+
+
+def _naive_op_series(h, step, p, cutoff):
+    out, cur, k = MultiPoly.zero(), p, 0
+    while not cur.is_zero and k <= (h.order if cutoff is None else cutoff):
+        out = out + cur * h.coeffs[k]
+        cur, k = step(cur), k + 1
+    return out
+
+
+def series_coeffs():
+    return st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                    min_size=9, max_size=9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(series_coeffs(), small_polys(), small_polys())
+@pytest.mark.parametrize("name,make,step,cutoff", KERNEL_BASES,
+                         ids=[b[0] for b in KERNEL_BASES])
+def test_op_series_matches_naive_reference(name, make, step, cutoff, hs, p, q):
+    h = Series(hs, 8)
+    op = OpSeries(h, make(), cutoff)
+    # the same instance on two polynomials reuses its memo
+    for poly in (p, q, p + q):
+        assert op.apply(poly) == _naive_op_series(h, step, poly, cutoff)
+
+
+def test_memo_reuse_equals_fresh_instance():
+    fam = MixedFamily(get_pair("hahn"), "R", 2, 12)
+    p = fam.egf_member(4)
+    q = fam.egf_member(5) + p * F(2, 3)  # shares every monomial of p
+    for variant in ("printed", "theta"):
+        M = fam.raising_operator(variant)
+        M.apply(p)
+        assert set(p.terms) <= set(M._images)
+        assert M.apply(q) == fam.raising_operator(variant).apply(q)
+        P = fam.lowering_operator(variant)
+        assert P.apply(P.apply(q)) == fam.lowering_operator(variant).apply(
+            fam.lowering_operator(variant).apply(q))
+
+
+def _off_by_one_deriv(wrong_at):
+    """A d/dv image that multiplies v^k (k >= 1) by k + 1 instead of k
+    where wrong_at(k)."""
+    def image(self, e):
+        k = e[self.index]
+        if not k:
+            return MultiPoly.zero()
+        e2 = e[:self.index] + (k - 1,) + e[self.index + 1:]
+        return MultiPoly({e2: k + 1 if wrong_at(k) else k})
+    return image
+
+
+# witnesses and commutator values recorded from the whole-polynomial
+# operator code this kernel replaced, under the same planted faults
+@pytest.mark.parametrize("wrong_at,pair,kind,variant,witness,got", [
+    (lambda k: True, "hahn", "S", "printed", ONE, 2 * ONE),
+    (lambda k: True, "laguerre", "R", "theta", ONE, 4 * ONE),
+    (lambda k: k == 3, "identity", "S", "printed", Y ** 2, 2 * Y ** 2),
+    (lambda k: k == 3, "hahn", "S", "printed", Y ** 2, 2 * Y ** 2 + F(2, 3)),
+    (lambda k: k == 3, "laguerre", "R", "theta", X ** 2,
+     F(10, 3) * X ** 2 - F(28, 3) * X + F(28, 3)),
+], ids=["all-hahn-S", "all-laguerre-R", "k3-identity-S", "k3-hahn-S", "k3-laguerre-R"])
+def test_off_by_one_deriv_fails_commutator_at_same_witness(
+        monkeypatch, wrong_at, pair, kind, variant, witness, got):
+    fam = MixedFamily(get_pair(pair), kind, 2, 12)
+    assert commutator_check(fam.lowering_operator(variant),
+                            fam.raising_operator(variant), 8).passed
+    monkeypatch.setattr(operators.Deriv, "image", _off_by_one_deriv(wrong_at))
+    rep = commutator_check(fam.lowering_operator(variant),
+                           fam.raising_operator(variant), 8)
+    assert not rep.passed
+    assert rep.witness == witness and rep.got == got
