@@ -52,6 +52,7 @@ from .operators import (
     commutator_check,
     compose,
     deriv,
+    exp_generator,
     exp_operator,
     inv_deriv,
     mul_var,
@@ -235,6 +236,18 @@ class MixedFamily:
 
     # -- operational representations ----------------------------------------------
 
+    @cached_property
+    def _exp_routes(self) -> tuple[OpSeries, OpSeries]:
+        """exp(D_x^(-1) d_y^2 + z d_y^r) and exp(z d_y^r), the S-kind
+        sheffer-lift and z-restoration operators, built once so that their
+        memos serve every n.  Both generators lower y, so the exponential
+        series at the family's order reaches every member."""
+        exp = Series.t(self.order).exp()
+        z_term = (_Z, op_pow(deriv("y"), self.r))
+        lift = exp_generator([
+            (Fraction(1), compose(inv_deriv("x"), op_pow(deriv("y"), 2))), z_term])
+        return OpSeries(exp, lift), OpSeries(exp, exp_generator([z_term]))
+
     def operational_rep_check(self, n: int) -> list["CheckRecord"]:
         """Check the exponential-operator routes to member(n).
 
@@ -249,20 +262,13 @@ class MixedFamily:
         """
         out: list[CheckRecord] = []
         if self.kind == "S":
+            lift, restore = self._exp_routes
             s_n = sheffer_poly_in_y(self.pair, n, self.order)
-            got = exp_operator(
-                [
-                    (Fraction(1), compose(inv_deriv("x"), op_pow(deriv("y"), 2))),
-                    (_Z, op_pow(deriv("y"), self.r)),
-                ],
-                s_n,
-            )
             out.append(_record("sheffer-lift", n, "printed", "egf",
-                               got, self.member(n)))
+                               lift.apply(s_n), self.member(n)))
             base = self.member(n).substitute({"z": Fraction(0)})
-            got_b = exp_operator([(_Z, op_pow(deriv("y"), self.r))], base)
             out.append(_record("z-restoration", n, "printed", "egf",
-                               got_b, self.member(n)))
+                               restore.apply(base), self.member(n)))
         else:
             s_n = sheffer_poly_in_y(self.pair, n, self.order)
             try:

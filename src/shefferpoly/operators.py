@@ -19,21 +19,37 @@ B = sum c_i op_i, with the same degree bound; it refuses to exponentiate
 a generator that does not visibly lower a common variable unless the
 caller supplies an explicit cutoff.
 
-Every operator defines only its image of one monomial; ``LinOp.apply`` is
-the one linear extension.  Each instance memoizes its images, so an
-operator applied to many polynomials (the raising and lowering operators
+Every leaf operator (``Deriv``, ``InvDeriv``, ``MulVar``, ``Scale``,
+``Identity``, ``MulPoly``) defines only its image of one monomial,
+``image(e)``.  All but a many-term ``MulPoly`` are weighted shifts: they
+send x^e to one monomial w(e) x^(e + delta), or to zero.  A ``Compose`` (so
+an ``op_pow``) of weighted shifts is one weighted shift: its image of x^e is
+one product of its leaves' weights along the path, with no intermediate
+polynomial.  An ``OpSeries`` h(B) over a weighted-shift base has the
+closed-form image sum_k h_k W_k(e) x^(e + k delta), where W_k(e) is the
+product of B's weights along e, B e, ..., B^(k-1) e; for B = d/dy this is
+h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k).  The shift bases d/dy,
+Theta = -d/dx x d/dx and -d/dx x d/dy all take this path.
+
+Images, and every intermediate value inside a composite, are integer
+numerators over one denominator, reduced by their gcd.  ``LinOp.apply`` is
+the one linear extension; it converts to Fractions once, at its boundary
+(one per output term).  Each instance memoizes its images; a leaf reads its own
+``image`` once per monomial, so every composite sees the leaf's action, and
+an operator applied to many polynomials (the raising and lowering operators
 of a monomiality check, over every member and every commutator test
-monomial) computes the image of each monomial once; the memo is freed with
-the operator.  Operators are immutable expression trees and application is
-pure: a memo write stores the value any other call would compute, so
-concurrent use is safe.
+monomial) computes the image of each monomial once.  The memo is freed
+with the operator.  Operators are immutable expression trees and
+application is pure: a memo write stores the value any other call would
+compute, and ``apply`` always returns a fresh polynomial, never a memoized
+one, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, as_poly
 from .series import OrderTooSmall, Series
@@ -65,6 +81,16 @@ def _zero_deltas() -> Deltas:
 
 _ONE = Fraction(1)
 
+# A polynomial in numerator form: {exponents: integer numerator} over one
+# positive denominator, with the gcd of the numerators and the denominator
+# divided out (the zero polynomial is ({}, 1)).
+Num = tuple[dict[Exponent, int], int]
+# A weighted shift's image of one monomial: (e', a, b) for (a/b) x^e', or
+# None when the monomial is sent to zero.
+Shift = tuple[Exponent, int, int] | None
+
+_MISSING = object()
+
 
 def _term(e: Exponent, c: Fraction = _ONE) -> MultiPoly:
     """c times the monomial with exponents e (zero when c is 0)."""
@@ -75,29 +101,56 @@ def _bump(e: Exponent, i: int, step: int) -> Exponent:
     return e[:i] + (e[i] + step,) + e[i + 1:]
 
 
-def _combine(parts: list[tuple[Fraction, MultiPoly]]) -> MultiPoly:
-    """The exact sum of c * q over parts (c, q), with the output terms
-    summed in integers over one common denominator: one Fraction each.
-    A single unscaled part is returned as it is (polynomials are immutable)."""
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][1]
-    den = lcm(*(c.denominator * k.denominator for c, q in parts for k in q.terms.values()))
+def _numerators(p: MultiPoly) -> Num:
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+
+
+def _poly(num: Num) -> MultiPoly:
+    t, d = num
+    return MultiPoly._raw({e: Fraction(n, d) for e, n in t.items()})
+
+
+def _collect(parts: list[tuple[Exponent, int, int]], den: int = 1) -> Num:
+    """The sum of (n/d) x^e over parts (e, n, d), divided by den."""
+    if len(parts) == 1:
+        e, n, d = parts[0]
+        d *= den
+        g = gcd(n, d)
+        return ({e: n // g}, d // g) if n else ({}, 1)
+    common = lcm(*[d for _, _, d in parts])
     acc: dict[Exponent, int] = {}
-    for c, q in parts:
-        f = c.numerator * den // c.denominator
-        for e, k in q.terms.items():
-            acc[e] = acc.get(e, 0) + f * k.numerator // k.denominator
-    return MultiPoly._raw({e: Fraction(n, den) for e, n in acc.items() if n})
+    for e, n, d in parts:
+        acc[e] = acc.get(e, 0) + n * (common // d)
+    acc = {e: n for e, n in acc.items() if n}
+    den *= common
+    g = gcd(den, *acc.values())
+    if g == 1:
+        return acc, den
+    return {e: n // g for e, n in acc.items()}, den // g
+
+
+def _shift_of(op: "LinOp", e: Exponent) -> Shift:
+    """A weighted shift's memoized image of x^e."""
+    memo = op._images
+    s = memo.get(e, _MISSING)
+    if s is _MISSING:
+        s = memo[e] = op._shift(e)
+    return s
 
 
 class LinOp:
     """Base class for formal linear operators on MultiPoly.
 
-    A subclass defines ``image(e)``, its action on the single monomial
-    with exponents e.  ``apply`` is the linear extension, written once
-    here: each image is computed once per instance and kept in the
-    instance's memo, and the scaled images are summed by :func:`_combine`.
+    A leaf defines ``image(e)``, its action on the single monomial with
+    exponents e, and sets ``shift`` when that image is always one monomial
+    or zero.  Composites define ``_shift`` (when they are weighted shifts)
+    or ``_image``, both in numerator form.  ``apply`` is the linear
+    extension, written once here: each image is computed once per instance
+    and kept in the instance's memo.
     """
+
+    shift = False
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls)
@@ -105,17 +158,43 @@ class LinOp:
         return self
 
     def image(self, e: Exponent) -> MultiPoly:
-        raise NotImplementedError
+        """The image of the single monomial with exponents e."""
+        return self.apply(_term(e))
+
+    def _shift(self, e: Exponent) -> Shift:
+        """A weighted-shift leaf's image of x^e, read from ``image``."""
+        terms = self.image(e).terms
+        if not terms:
+            return None
+        (e2, c), = terms.items()
+        return e2, c.numerator, c.denominator
+
+    def _image(self, e: Exponent) -> Num:
+        """A leaf's image of x^e, read from ``image``."""
+        return _numerators(self.image(e))
+
+    def _act(self, terms: dict[Exponent, int], den: int) -> Num:
+        """This operator applied to sum_e terms[e] x^e / den."""
+        if self.shift:
+            parts = []
+            for e, n in terms.items():
+                s = _shift_of(self, e)
+                if s is not None:
+                    parts.append((s[0], n * s[1], s[2]))
+            return _collect(parts, den)
+        memo = self._images
+        images = []
+        for e, n in terms.items():
+            img = memo.get(e)
+            if img is None:
+                img = memo[e] = self._image(e)
+            images.append((n, img))
+        if den == 1 and len(images) == 1 and images[0][0] == 1:
+            return images[0][1]  # numerator forms are never mutated
+        return _collect([(e2, n * k, d) for n, (t, d) in images for e2, k in t.items()], den)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        images = self._images
-        parts = []
-        for e, c in p.terms.items():
-            img = images.get(e)
-            if img is None:
-                img = images[e] = self.image(e)
-            parts.append((c, img))
-        return _combine(parts)
+        return _poly(self._act(*_numerators(p)))
 
     def deltas(self) -> Deltas:
         raise NotImplementedError
@@ -148,6 +227,8 @@ class LinOp:
 
 
 class Identity(LinOp):
+    shift = True
+
     def image(self, e: Exponent) -> MultiPoly:
         return _term(e)
 
@@ -159,6 +240,8 @@ class Identity(LinOp):
 
 
 class Scale(LinOp):
+    shift = True
+
     def __init__(self, c):
         self.c = Fraction(c)
 
@@ -177,6 +260,7 @@ class MulPoly(LinOp):
 
     def __init__(self, poly: MultiPoly):
         self.poly = as_poly(poly)
+        self.shift = len(self.poly.terms) <= 1
 
     def image(self, e: Exponent) -> MultiPoly:
         return self.poly * _term(e)
@@ -191,6 +275,8 @@ class MulPoly(LinOp):
 
 
 class MulVar(LinOp):
+    shift = True
+
     def __init__(self, var: str):
         self.var = var
         self.index = VAR_INDEX[var]
@@ -208,6 +294,8 @@ class MulVar(LinOp):
 
 
 class Deriv(LinOp):
+    shift = True
+
     def __init__(self, var: str):
         self.var = var
         self.index = VAR_INDEX[var]
@@ -225,6 +313,8 @@ class Deriv(LinOp):
 
 
 class InvDeriv(LinOp):
+    shift = True
+
     def __init__(self, var: str):
         self.var = var
         self.index = VAR_INDEX[var]
@@ -251,8 +341,17 @@ class OpSum(LinOp):
                 flat.append(op)
         self.ops = tuple(flat)
 
-    def image(self, e: Exponent) -> MultiPoly:
-        return _combine([(_ONE, op.apply(_term(e))) for op in self.ops])
+    def _image(self, e: Exponent) -> Num:
+        parts = []
+        for op in self.ops:
+            if op.shift:
+                s = _shift_of(op, e)
+                if s is not None:
+                    parts.append(s)
+            else:
+                t, d = op._act({e: 1}, 1)
+                parts += [(e2, n, d) for e2, n in t.items()]
+        return _collect(parts)
 
     def deltas(self) -> Deltas:
         d: Deltas = {}
@@ -282,12 +381,25 @@ class Compose(LinOp):
             else:
                 flat.append(op)
         self.ops = tuple(flat)
+        self.shift = all(op.shift for op in self.ops)
 
-    def image(self, e: Exponent) -> MultiPoly:
-        p = _term(e)
+    def _shift(self, e: Exponent) -> Shift:
+        a = b = 1
         for op in reversed(self.ops):
-            p = op.apply(p)
-        return p
+            s = _shift_of(op, e)
+            if s is None:
+                return None
+            e, sa, sb = s
+            a *= sa
+            b *= sb
+        g = gcd(a, b)
+        return e, a // g, b // g
+
+    def _image(self, e: Exponent) -> Num:
+        cur = ({e: 1}, 1)
+        for op in reversed(self.ops):
+            cur = op._act(*cur)
+        return cur
 
     def deltas(self) -> Deltas:
         d = _zero_deltas()
@@ -304,16 +416,17 @@ class Compose(LinOp):
         return "∘".join(op.render() for op in self.ops)
 
 
-def _degree_bound(deltas: Deltas, p: MultiPoly) -> int | None:
-    """The largest k for which B^k can be nonzero on p, read from the
-    variables whose degree B provably lowers (``deltas`` are B's); None
-    when it lowers none."""
-    if p.is_zero:
+def _degree_bound(deltas: Deltas, exps: Collection[Exponent]) -> int | None:
+    """The largest k for which B^k can be nonzero on a polynomial with the
+    monomials ``exps``, read from the variables whose degree B provably
+    lowers (``deltas`` are B's); None when it lowers none."""
+    if not exps:
         return 0
     best: int | None = None
     for v, dv in deltas.items():
         if dv is not None and dv <= -1:
-            k = p.degree_in(v) // (-dv)
+            i = VAR_INDEX[v]
+            k = max(e[i] for e in exps) // (-dv)
             best = k if best is None else min(best, k)
     return best
 
@@ -323,13 +436,13 @@ class OpSeries(LinOp):
 
     Application uses the nilpotency cutoff: if B provably lowers the
     degree of some variable, only finitely many terms act on a given
-    polynomial.  Otherwise an explicit ``cutoff`` must be supplied.
-    ``apply`` checks that cutoff against the series order on the whole
-    polynomial first.  The image of one monomial e walks B e, B^2 e, ...
-    through B's own memoized images until the power vanishes (or through
-    the explicit cutoff).  For a weighted-shift base (d/dy, Theta,
-    -d/dx x d/dy) each step is one monomial, so the closed form
-    h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k) is what the walk computes.
+    polynomial.  Otherwise an explicit ``cutoff`` must be supplied.  Every
+    application, nested in a composite or not, checks that cutoff against
+    the series order on the whole polynomial it acts on first.  The image
+    of one monomial e sums h_k B^k e until the power vanishes (or through
+    the explicit cutoff).  Over a weighted-shift base each B^k e is one
+    monomial W_k(e) x^(e + k delta), read step by step from B's memo; over
+    any other base each power is B applied to the previous one.
     """
 
     def __init__(self, series: Series, base: LinOp, cutoff: int | None = None):
@@ -337,11 +450,12 @@ class OpSeries(LinOp):
         self.base = base
         self.cutoff = cutoff
         self._base_deltas = base.deltas()
+        self._hs = series.coeffs if cutoff is None else series.coeffs[: cutoff + 1]
 
-    def _cutoff_for(self, p: MultiPoly) -> int:
+    def _cutoff_for(self, exps: Collection[Exponent]) -> int:
         if self.cutoff is not None:
             return self.cutoff
-        k = _degree_bound(self._base_deltas, p)
+        k = _degree_bound(self._base_deltas, exps)
         if k is None:
             raise CutoffRequired(
                 f"base operator {self.base.render()} does not lower any degree; "
@@ -349,25 +463,37 @@ class OpSeries(LinOp):
             )
         return k
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        k_max = self._cutoff_for(p)
+    def _act(self, terms: dict[Exponent, int], den: int) -> Num:
+        k_max = self._cutoff_for(terms)
         if k_max > self.series.order:
             raise OrderTooSmall(
                 f"operator series of order {self.series.order} applied where "
                 f"{k_max} terms are needed"
             )
-        return super().apply(p)
+        return super()._act(terms, den)
 
-    def image(self, e: Exponent) -> MultiPoly:
-        hs = self.series.coeffs if self.cutoff is None else self.series.coeffs[: self.cutoff + 1]
-        cur = _term(e)
-        parts = [(hs[0], cur)]
-        for hk in hs[1:]:
-            cur = self.base.apply(cur)
-            if cur.is_zero:
-                break
-            parts.append((hk, cur))
-        return _combine(parts)
+    def _image(self, e: Exponent) -> Num:
+        base, hs = self.base, self._hs
+        h = hs[0]
+        parts = [(e, h.numerator, h.denominator)]
+        if base.shift:
+            a = b = 1
+            for h in hs[1:]:
+                s = _shift_of(base, e)
+                if s is None:
+                    break
+                e, sa, sb = s
+                a *= sa
+                b *= sb
+                parts.append((e, h.numerator * a, h.denominator * b))
+        else:
+            t, d = {e: 1}, 1
+            for h in hs[1:]:
+                t, d = base._act(t, d)
+                if not t:
+                    break
+                parts += [(e2, h.numerator * n, h.denominator * d) for e2, n in t.items()]
+        return _collect(parts)
 
     def deltas(self) -> Deltas:
         base = self.base.deltas()
@@ -461,10 +587,18 @@ class CommutatorReport:
 def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> CommutatorReport:
     """Check (a∘b - b∘a) = identity on all monomials of degree <= test_degree."""
     for m in monomials_up_to(test_degree):
-        got = a.apply(b.apply(m)) - b.apply(a.apply(m))
-        if got != m:
-            return CommutatorReport(False, m, got)
+        num = _numerators(m)
+        t1, d1 = a._act(*b._act(*num))
+        t2, d2 = b._act(*a._act(*num))
+        got = _collect([(e, n, d1) for e, n in t1.items()] + [(e, -n, d2) for e, n in t2.items()])
+        if got != num:
+            return CommutatorReport(False, m, _poly(got))
     return CommutatorReport(True, None, None)
+
+
+def exp_generator(terms: Iterable[tuple[MultiPoly | int | Fraction, LinOp]]) -> LinOp:
+    """B = sum_i c_i op_i, the generator that :func:`exp_operator` exponentiates."""
+    return OpSum([Compose((MulPoly(as_poly(c)), op)) for c, op in terms])
 
 
 def exp_operator(
@@ -480,8 +614,8 @@ def exp_operator(
     deg_v(p) steps.  With a cutoff the sum is taken through that power
     regardless (used for identities stated "up to degree d").
     """
-    gen = OpSum([Compose((MulPoly(as_poly(c)), op)) for c, op in terms])
-    k = cutoff if cutoff is not None else _degree_bound(gen.deltas(), p)
+    gen = exp_generator(terms)
+    k = cutoff if cutoff is not None else _degree_bound(gen.deltas(), p.terms)
     if k is None:
         raise NonNilpotentGenerator(
             "no variable is lowered by every generator term; "

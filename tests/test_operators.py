@@ -1,7 +1,11 @@
 """Operator calculus: monomial action rules, nilpotency cutoffs, the
 shift identity, and exponential operators."""
 
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,14 +35,16 @@ from shefferpoly import (
     theta_operator,
 )
 from shefferpoly import operators
-from shefferpoly.multipoly import as_poly
+from shefferpoly.multipoly import VARS
 from shefferpoly.operators import (
-    Compose,
-    MulPoly,
+    LinOp,
     OperatorError,
-    OpSum,
+    exp_generator,
     monomials_up_to,
 )
+from shefferpoly.series import OrderTooSmall
+
+GOLDEN = Path(__file__).parent / "golden"
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -256,9 +262,8 @@ def _naive_int(p, i):
 
 def _exp_generator():
     # the generator exp_operator builds for exp(D_x^-1 d_y^2 + z d_y^2)
-    terms = [(F(1), compose(inv_deriv("x"), op_pow(deriv("y"), 2))),
-             (Z, op_pow(deriv("y"), 2))]
-    return OpSum([Compose((MulPoly(as_poly(c)), op)) for c, op in terms])
+    return exp_generator([(F(1), compose(inv_deriv("x"), op_pow(deriv("y"), 2))),
+                          (Z, op_pow(deriv("y"), 2))])
 
 
 # (name, operator factory, naive one-step reference, explicit cutoff or None)
@@ -268,6 +273,9 @@ KERNEL_BASES = [
     ("-d_x x d_y", lambda: compose(scale(-1), deriv("x"), mul_var("x"), deriv("y")),
      lambda p: -_naive_d(X * _naive_d(p, 1), 0), None),
     ("D_x^-1", lambda: inv_deriv("x"), lambda p: _naive_int(p, 0), 3),
+    # zero step: every power maps x^e back to a multiple of x^e
+    ("x d/dx", lambda: compose(mul_var("x"), deriv("x")),
+     lambda p: X * _naive_d(p, 0), 3),
     ("exp generator", _exp_generator,
      lambda p: _naive_int(_naive_d(_naive_d(p, 1), 1), 0)
      + Z * _naive_d(_naive_d(p, 1), 1), None),
@@ -345,3 +353,147 @@ def test_off_by_one_deriv_fails_commutator_at_same_witness(
                            fam.raising_operator(variant), 8)
     assert not rep.passed
     assert rep.witness == witness and rep.got == got
+
+
+# -- fused weighted shifts ------------------------------------------------------------------
+
+
+def _step(kind, arg, c):
+    """One chain step: the operator and its naive whole-polynomial action."""
+    if kind == "d":
+        return deriv(VARS[arg]), lambda p: _naive_d(p, arg)
+    if kind == "int":
+        return inv_deriv(VARS[arg]), lambda p: _naive_int(p, arg)
+    if kind == "mul":
+        return mul_var(VARS[arg]), lambda p: p * MultiPoly.var(VARS[arg])
+    if kind == "scale":
+        return scale(c), lambda p: p * c
+    mono = MultiPoly.monomial(arg, c)
+    return mul_poly(mono), lambda p: p * mono
+
+
+def chains():
+    var = st.integers(0, 2)
+    c = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    step = st.one_of(
+        st.tuples(st.sampled_from(["d", "int", "mul"]), var, st.none()),
+        st.tuples(st.just("scale"), st.none(), c),
+        st.tuples(st.just("mono"),
+                  st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)), c),
+    )
+    return st.lists(step, min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(), series_coeffs(), small_polys(), small_polys())
+def test_fused_chain_matches_step_by_step(steps, hs, p, q):
+    ops, refs = zip(*(_step(*s) for s in steps))
+    chain = compose(*ops)
+    assert chain.shift
+
+    def naive(poly):
+        for ref in reversed(refs):
+            poly = ref(poly)
+        return poly
+
+    lowers = any(dv is not None and dv <= -1 for dv in chain.deltas().values())
+    cutoff = None if lowers else 3
+    h = Series(hs, 8)
+    series = OpSeries(h, chain, cutoff)
+    for poly in (p, q, p + q):
+        assert chain.apply(poly) == naive(poly)
+        assert series.apply(poly) == _naive_op_series(h, naive, poly, cutoff)
+
+
+# (operator factory, input, error class, message); the messages are the
+# ones the whole-polynomial operator code this kernel replaced raised
+NESTED_SERIES_ERRORS = [
+    (lambda: compose(mul_var("y"), OpSeries(Series.t(2).exp(), deriv("y"))),
+     Y ** 5, OrderTooSmall, "operator series of order 2 applied where 5 terms are needed"),
+    # checked on the intermediate y^3, not on the input y^2
+    (lambda: compose(OpSeries(Series.t(2).exp(), deriv("y")), mul_var("y")),
+     Y ** 2, OrderTooSmall, "operator series of order 2 applied where 3 terms are needed"),
+    # checked on the whole intermediate x^5 + y^5: no single monomial needs a term
+    (lambda: compose(OpSeries(Series.t(3).exp(), compose(deriv("x"), deriv("y"))),
+                     mul_poly(X ** 5 + Y ** 5)),
+     ONE, OrderTooSmall, "operator series of order 3 applied where 5 terms are needed"),
+    (lambda: op_sum(mul_var("x"), OpSeries(Series.t(2).exp(), deriv("y"))),
+     Y ** 4, OrderTooSmall, "operator series of order 2 applied where 4 terms are needed"),
+    (lambda: compose(mul_var("x"), OpSeries(Series.t(2).exp(), inv_deriv("y"), cutoff=4)),
+     Y, OrderTooSmall, "operator series of order 2 applied where 4 terms are needed"),
+    (lambda: compose(mul_var("x"), OpSeries(Series.t(4).exp(), inv_deriv("y"))),
+     Y, CutoffRequired,
+     "base operator D_y^-1 does not lower any degree; supply an explicit cutoff"),
+]
+
+
+@pytest.mark.parametrize("make,p,exc,message", NESTED_SERIES_ERRORS)
+def test_nested_op_series_keeps_its_checks(make, p, exc, message):
+    with pytest.raises(exc) as info:
+        make().apply(p)
+    assert str(info.value) == message
+
+
+# one instance factory per LinOp subclass (MulPoly twice: one term and many)
+EVERY_OPERATOR = [
+    ("identity", identity),
+    ("scale", lambda: scale(F(2, 3))),
+    ("mul_poly monomial", lambda: mul_poly(3 * Z)),
+    ("mul_poly", lambda: mul_poly(X + 2 * Z)),
+    ("mul_var", lambda: mul_var("y")),
+    ("deriv", lambda: deriv("y")),
+    ("inv_deriv", lambda: inv_deriv("y")),
+    ("op_sum", lambda: op_sum(mul_var("x"), deriv("y"))),
+    ("compose", lambda: compose(mul_var("x"), deriv("y"))),
+    ("op_series", lambda: OpSeries(Series.t(6).exp(), deriv("y"))),
+]
+
+
+def test_every_operator_class_is_covered():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert {type(make()) for _, make in EVERY_OPERATOR} == set(subclasses(LinOp))
+
+
+@pytest.mark.parametrize("name,make", EVERY_OPERATOR, ids=[o[0] for o in EVERY_OPERATOR])
+def test_applied_value_does_not_alias_the_memo(name, make):
+    op = make()
+    for p in (Y ** 2, X * Y ** 2 / 3 + Z):  # one unscaled monomial, and a sum
+        got = op.apply(p)
+        want = dict(got.terms)
+        got.terms.clear()
+        got.terms[(7, 7, 7)] = F(5)
+        assert op.apply(p).terms == want
+        assert make().apply(p).terms == want
+
+
+# Deriv.image multiplying v^k by k + 1, planted before anything runs; every
+# composite reads its d/dv leaves through that image
+_DERIV_FAULT_RUN = """
+import sys
+from shefferpoly import operators
+from shefferpoly.cli import main
+from shefferpoly.multipoly import MultiPoly
+
+def image(self, e):
+    k = e[self.index]
+    if not k:
+        return MultiPoly.zero()
+    return MultiPoly({e[:self.index] + (k - 1,) + e[self.index + 1:]: k + 1})
+
+operators.Deriv.image = image
+sys.exit(main(["verify", "--suite", "all", "--format", "json", "--order", "12"]))
+"""
+
+
+def test_deriv_image_fault_reaches_every_composite():
+    # the digest was recorded from the whole-polynomial operator code this
+    # kernel replaced, under the same fault: 146 of 297 checks fail
+    proc = subprocess.run([sys.executable, "-c", _DERIV_FAULT_RUN],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == (GOLDEN / "verify_all_o12_deriv_fault.sha256").read_text().strip()
