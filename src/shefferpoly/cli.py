@@ -127,11 +127,13 @@ def cmd_expand(args) -> int:
         raise CliError(
             f"--order {order} is below the largest requested n {max(ns)}",
             CAPACITY_ERROR)
+    # member n is exact at any truncation order >= n, so only the members
+    # through max(ns) are expanded; the requested order is what is printed
     if args.kind == "sheffer":
-        polys = [sheffer_poly(pair, n, order) for n in ns]
+        polys = [sheffer_poly(pair, n, max(ns + [1])) for n in ns]
         label = f"{pair.name} Sheffer"
     else:
-        fam = MixedFamily(pair, args.kind, args.r, order)
+        fam = MixedFamily(pair, args.kind, args.r, max(ns))
         polys = [fam.member(n) for n in ns]
         label = fam.label
     if args.format == "json":

@@ -28,6 +28,14 @@ times the t^n coefficient; callers that want the n!-normalised family
 divide once.  The closed finite sums and the naive convolution in the
 oracle module share neither the matrix nor the factor expansion, so they
 remain a genuinely independent route.
+
+The phi_k are polynomials in the package's one representation, integer
+numerators over one denominator, and a member is one integer linear
+combination of them (``multipoly.lincomb``) against the Fraction entries of
+the matrix, with the weight folded into each entry.  The matrix stays a
+``Series`` of Fractions.  The phi_k of one Phi are computed once per
+truncation order and kept in ``pairs._MEMO``; any n <= order reads its
+phi_0..phi_n from that one list.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .multipoly import MultiPoly, as_poly
+from .multipoly import MultiPoly, as_poly, lincomb
 from .pairs import get_pair, memo
 from .series import OrderTooSmall, Series
 
@@ -104,16 +112,23 @@ def _factor_terms(factor: tuple, order: int) -> list[tuple[int, MultiPoly]]:
 
 
 def phi_coefficients(factors, order: int) -> list[MultiPoly]:
-    """[u^k] Phi(u) for k = 0..order, Phi the product of the factors."""
-    acc = [(0, MultiPoly.const(1))]
-    for factor in factors:
-        acc = [(d1 + d2, p1 * p2)
-               for d2, p2 in _factor_terms(factor, order)
-               for d1, p1 in acc if d1 + d2 <= order]
-    phi = [MultiPoly.zero()] * (order + 1)
-    for deg, poly in acc:
-        phi[deg] = phi[deg] + poly
-    return phi
+    """[u^k] Phi(u) for k = 0..order, Phi the product of the factors.
+
+    Memoized per (factors, order); the first n + 1 entries at any order are
+    the coefficients through u^n, so callers read lower orders from one
+    list."""
+    def make():
+        acc = [(0, MultiPoly.const(1))]
+        for factor in factors:
+            acc = [(d1 + d2, p1 * p2)
+                   for d2, p2 in _factor_terms(factor, order)
+                   for d1, p1 in acc if d1 + d2 <= order]
+        by_degree = [[] for _ in range(order + 1)]
+        for deg, poly in acc:
+            by_degree[deg].append((1, poly))
+        return tuple(lincomb(parts) for parts in by_degree)
+
+    return list(memo(("phi", tuple(factors), order), make))
 
 
 # -- the Sheffer matrix and the families read from it ---------------------------
@@ -134,37 +149,31 @@ def sheffer_matrix(pair, order: int) -> list[list[Fraction]]:
     return memo(("matrix", pair.name, pair.params, order), make)
 
 
-def _coefficient(cols, phi: list[MultiPoly], n: int) -> MultiPoly:
-    """sum_k phi_k [t^n] A H^k."""
-    terms: dict = {}
-    for k in range(n + 1):
-        c = cols[k][n]
-        if c:
-            for e, v in phi[k].terms.items():
-                terms[e] = terms.get(e, 0) + v * c
-    return MultiPoly._raw({e: v for e, v in terms.items() if v})
+def _coefficient(cols, phi: list[MultiPoly], n: int, weight: int | Fraction) -> MultiPoly:
+    """weight * sum_k phi_k [t^n] A H^k."""
+    return lincomb((cols[k][n] * weight, phi[k]) for k in range(n + 1))
 
 
-def expand(pair, factors, order: int) -> tuple[MultiPoly, ...]:
-    """[t^n] A(t) Phi(H(t)) for n = 0..order, Phi the product of the factors."""
+def expand(pair, factors, order: int, power: int = 0) -> tuple[MultiPoly, ...]:
+    """(n!)^power * [t^n] A(t) Phi(H(t)) for n = 0..order, Phi the product
+    of the factors."""
     cols = sheffer_matrix(pair, order)
     phi = phi_coefficients(factors, order)
-    return tuple(_coefficient(cols, phi, n) for n in range(order + 1))
+    return tuple(_coefficient(cols, phi, n, math.factorial(n) ** power)
+                 for n in range(order + 1))
 
 
-def family_member(pair, factors, n: int, order: int, weight: int) -> MultiPoly:
+def family_member(pair, factors, n: int, order: int, weight: int | Fraction) -> MultiPoly:
     """weight * [t^n] A(t) Phi(H(t)) alone, without expanding other members."""
     if n > order:
         raise OrderTooSmall(f"member {n} beyond truncation order {order}")
     cols = sheffer_matrix(pair, order)
-    return _coefficient(cols, phi_coefficients(factors, n), n) * weight
+    return _coefficient(cols, phi_coefficients(factors, order), n, weight)
 
 
 def _members(key, pair, factors, order: int, power: int) -> tuple[MultiPoly, ...]:
     """(n!)^power * [t^n] A(t) Phi(H(t)) for n = 0..order, memoized under key."""
-    return memo(key, lambda: tuple(
-        c * math.factorial(n) ** power
-        for n, c in enumerate(expand(pair, factors, order))))
+    return memo(key, lambda: expand(pair, factors, order, power))
 
 
 def _member_at(members: tuple[MultiPoly, ...], n: int) -> MultiPoly:

@@ -296,8 +296,7 @@ class MixedFamily:
         result must equal the member of the family generated with that
         geometric factor in place of the exponential."""
         member = self.member(n)
-        integrated = MultiPoly(
-            {e: c * math.factorial(e[2]) for e, c in member.terms.items()})
+        integrated = member.scale_monomials(lambda e: math.factorial(e[2]))
         phi = leghp_phi(self.kind, self.r)[:-1] + (geometric((_Z, self.r)),)
         target = family_member(self.pair, phi, n, self.order, self.weight(n))
         return _record("integral-rep", n, "printed", "stored", integrated, target)
@@ -475,7 +474,7 @@ class _Reduction:
 def _moment_scale_xy(p: MultiPoly) -> MultiPoly:
     """Scale each monomial by (total degree)!: the Gamma-moment image of
     p(s*x, s*y) integrated against e^(-s)."""
-    return MultiPoly({e: c * math.factorial(sum(e)) for e, c in p.terms.items()})
+    return p.scale_monomials(lambda e: math.factorial(sum(e)))
 
 
 def _make_reductions() -> dict[str, _Reduction]:

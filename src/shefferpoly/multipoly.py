@@ -1,9 +1,30 @@
 """Sparse polynomials over exact rationals in the three variables x, y, z.
 
-Coefficients are `fractions.Fraction`; a polynomial is a map from exponent
-triples (e_x, e_y, e_z) to nonzero coefficients.  All arithmetic is exact
-and every operation returns a fresh value; instances are treated as
-immutable and are safe to share between threads.
+A polynomial is stored as integer numerators over one common denominator:
+a map from exponent triples (e_x, e_y, e_z) to nonzero ``int`` numerators,
+and one positive ``int`` denominator.  The pair is always reduced, so every
+value has exactly one representation:
+
+* no numerator is zero;
+* the denominator is positive;
+* gcd(denominator, *numerators) == 1;
+* the zero polynomial is ({}, 1).
+
+Equal polynomials therefore have equal fields, and equality and hashing
+compare the fields directly.  All arithmetic (``+``, ``-``, ``*``, scalar
+``*`` and ``/``, ``**``, ``substitute``) runs in integers; a
+``fractions.Fraction`` is built only where a single coefficient is asked
+for (``coeff``, ``constant_value``, ``terms``) or rendered.
+
+Values are immutable: the fields are private slots, set once at
+construction and never written afterwards, and ``terms`` returns a fresh
+{exponents: Fraction} dict on every read, so no caller can change a
+polynomial another caller holds.  Polynomials are therefore safe to share
+between threads and to keep in caches.
+
+The operator kernel (``operators``) computes directly on these fields; the
+helpers below that take or return a ``Num`` pair, ``(numerators,
+denominator)``, are its interface.
 
 The canonical term order used by ``str()`` and :func:`poly_latex` is graded
 lexicographic with x > y > z, highest total degree first.  Rationals render
@@ -14,13 +35,62 @@ golden-file tests pin down.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from math import gcd, lcm
+from typing import Callable, Iterable, Mapping, Union
 
 VARS = ("x", "y", "z")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 
 Exponent = tuple[int, int, int]
 Scalar = Union[int, Fraction]
+# A polynomial's fields: {exponents: integer numerator} over one positive
+# denominator, reduced as the module docstring states.
+Num = tuple[dict[Exponent, int], int]
+
+_CONST = (0, 0, 0)
+
+
+def _reduced(nums: dict[Exponent, int], den: int) -> Num:
+    """(nums, den) with zero numerators dropped and the gcd divided out;
+    den must be positive.  The dict may be returned as it is, so callers
+    pass one they own."""
+    if 0 in nums.values():
+        nums = {e: n for e, n in nums.items() if n}
+    if not nums:
+        return {}, 1
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            return {e: n // g for e, n in nums.items()}, den // g
+    return nums, den
+
+
+def _collect(parts: list[tuple[Exponent, int, int]], den: int = 1) -> Num:
+    """The sum of (n/d) x^e over parts (e, n, d), divided by den."""
+    if len(parts) == 1:
+        e, n, d = parts[0]
+        d *= den
+        g = gcd(n, d)
+        return ({e: n // g}, d // g) if n else ({}, 1)
+    common = lcm(*[d for _, _, d in parts])
+    acc: dict[Exponent, int] = {}
+    for e, n, d in parts:
+        acc[e] = acc.get(e, 0) + n * (common // d)
+    return _reduced(acc, den * common)
+
+
+def _wrap(num: Num) -> "MultiPoly":
+    """The polynomial with the given (already reduced) fields, not copied."""
+    p = object.__new__(MultiPoly)
+    p._nums, p._den = num
+    return p
+
+
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction scalar."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 class MultiPoly:
@@ -33,37 +103,38 @@ class MultiPoly:
     y^2 + y
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[(int(exps[0]), int(exps[1]), int(exps[2]))] = c
-        self.terms = clean
+        ratios = {}
+        for exps, c in (terms or {}).items():
+            a, b = _ratio(c)
+            if a:
+                ratios[(int(exps[0]), int(exps[1]), int(exps[2]))] = (a, b)
+        den = lcm(*[b for _, b in ratios.values()])
+        self._nums, self._den = _reduced(
+            {e: a * (den // b) for e, (a, b) in ratios.items()}, den)
 
     @classmethod
-    def _raw(cls, terms: dict[Exponent, Fraction]) -> "MultiPoly":
-        p = object.__new__(cls)
-        p.terms = terms
-        return p
+    def _raw(cls, terms: Mapping[Exponent, Scalar]) -> "MultiPoly":
+        """The public constructor under its former name, which callers
+        outside the package (``perfbench/child.py``) still use."""
+        return cls(terms)
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls._raw({})
+        return _wrap(({}, 1))
 
     @classmethod
     def const(cls, c: Scalar) -> "MultiPoly":
-        c = Fraction(c)
-        return cls._raw({(0, 0, 0): c} if c else {})
+        a, b = _ratio(c)
+        return _wrap(({_CONST: a}, b) if a else ({}, 1))
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
         exps = [0, 0, 0]
         exps[VAR_INDEX[name]] = 1
-        return cls._raw({tuple(exps): Fraction(1)})
+        return _wrap(({tuple(exps): 1}, 1))
 
     @classmethod
     def monomial(cls, exps: Exponent, c: Scalar = 1) -> "MultiPoly":
@@ -75,23 +146,21 @@ class MultiPoly:
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        return MultiPoly._raw(out)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        den = lcm(self._den, other._den)
+        ma, mb = den // self._den, den // other._den
+        out = {e: n * ma for e, n in self._nums.items()}
+        for e, n in other._nums.items():
+            out[e] = out.get(e, 0) + n * mb
+        return _wrap(_reduced(out, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw({e: -c for e, c in self.terms.items()})
+        return _wrap(({e: -n for e, n in self._nums.items()}, self._den))
 
     def __sub__(self, other) -> "MultiPoly":
         other = _lift(other)
@@ -102,35 +171,43 @@ class MultiPoly:
     def __rsub__(self, other) -> "MultiPoly":
         return _lift(other) + (-self)
 
+    def _scaled(self, a: int, b: int) -> "MultiPoly":
+        """self * a/b for a reduced ratio with b > 0."""
+        nums, den = self._nums, self._den
+        if not a or not nums:
+            return _wrap(({}, 1))
+        g = gcd(a, den)
+        if g != 1:
+            a //= g
+            den //= g
+        if b != 1:
+            g = gcd(b, *nums.values())
+            if g != 1:
+                b //= g
+                nums = {e: n // g for e, n in nums.items()}
+        if a != 1:
+            nums = {e: n * a for e, n in nums.items()}
+        return _wrap((nums, den * b))
+
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return MultiPoly.zero()
-            return MultiPoly._raw({e: k * c for e, k in self.terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for (a1, b1, c1), k1 in self.terms.items():
-            for (a2, b2, c2), k2 in other.terms.items():
+        out: dict[Exponent, int] = {}
+        for (a1, b1, c1), k1 in self._nums.items():
+            for (a2, b2, c2), k2 in other._nums.items():
                 e = (a1 + a2, b1 + b2, c1 + c2)
-                k = k1 * k2
-                acc = out.get(e)
-                if acc is None:
-                    out[e] = k
-                else:
-                    acc = acc + k
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
-        return MultiPoly._raw(out)
+                out[e] = out.get(e, 0) + k1 * k2
+        return _wrap(_reduced(out, self._den * other._den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "MultiPoly":
-        c = Fraction(other)
-        return MultiPoly._raw({e: k / c for e, k in self.terms.items()})
+        a, b = _ratio(other)
+        if not a:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._scaled(b, a) if a > 0 else self._scaled(-b, -a)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -147,49 +224,60 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.terms == other.terms
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return not self.terms
-            return self.terms == {(0, 0, 0): c}
+            if not other:
+                return not self._nums
+            return (self._den == other.denominator
+                    and self._nums == {_CONST: other.numerator})
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     # -- queries -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """A fresh {exponents: Fraction} dict of the nonzero coefficients."""
+        den = self._den
+        return {e: Fraction(n, den) for e, n in self._nums.items()}
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._nums)
 
     def degree_in(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return -1
         i = VAR_INDEX[name]
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._nums)
 
     def depends_on(self, name: str) -> bool:
         i = VAR_INDEX[name]
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self._nums)
 
     def coeff(self, exps: Exponent) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._nums.get(tuple(exps), 0), self._den)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant monomial."""
-        return self.terms.get((0, 0, 0), Fraction(0))
+        return self.coeff(_CONST)
+
+    def scale_monomials(self, weight: Callable[[Exponent], int]) -> "MultiPoly":
+        """Each monomial c x^e replaced by c * weight(e) x^e, weight integer."""
+        den = self._den
+        return _wrap(_reduced({e: n * weight(e) for e, n in self._nums.items()}, den))
 
     # -- substitution --------------------------------------------------------
 
@@ -214,34 +302,52 @@ class MultiPoly:
             tab = powers[i]
             got = tab.get(e)
             if got is None:
-                got = tab[e - 1] if e - 1 in tab else power(i, e - 1)
-                got = got * images[i]
-                tab[e] = got
-            return tab[e]
+                got = tab[e] = power(i, e - 1) * images[i]
+            return got
 
-        out = MultiPoly.zero()
-        for exps, c in self.terms.items():
-            term = MultiPoly.const(c)
+        parts = []
+        for exps, n in self._nums.items():
+            term = None
             for i, e in enumerate(exps):
                 if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+                    term = power(i, e) if term is None else term * power(i, e)
+            if term is None:
+                parts.append((_CONST, n, 1))
+            else:
+                d = term._den
+                parts += [(e2, n * k, d) for e2, k in term._nums.items()]
+        return _wrap(_collect(parts, self._den))
 
     # -- rendering -----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in graded-lex order (x > y > z), highest degree first."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
-        )
+        den = self._den
+        return [(e, Fraction(self._nums[e], den))
+                for e in sorted(self._nums, key=lambda e: (-sum(e), -e[0], -e[1], -e[2]))]
 
     def __str__(self) -> str:
         return poly_str(self)
 
     def __repr__(self) -> str:
         return f"MultiPoly({poly_str(self)})"
+
+
+def lincomb(pairs: Iterable[tuple[Scalar, MultiPoly]]) -> MultiPoly:
+    """sum c * p over (c, p) pairs, in integers over one common denominator."""
+    scaled = []
+    common = 1
+    for c, p in pairs:
+        if c and p._nums:
+            d = c.denominator * p._den
+            common = lcm(common, d)
+            scaled.append((c.numerator, d, p._nums))
+    acc: dict[Exponent, int] = {}
+    for a, d, nums in scaled:
+        m = a * (common // d)
+        for e, n in nums.items():
+            acc[e] = acc.get(e, 0) + n * m
+    return _wrap(_reduced(acc, common))
 
 
 def _lift(v) -> "MultiPoly":
@@ -272,7 +378,7 @@ def _monomial_str(exps: Exponent) -> str:
 
 def poly_str(p: MultiPoly) -> str:
     """Canonical plain-text rendering, e.g. ``y^2 + 2*x + 2*z``."""
-    if not p.terms:
+    if p.is_zero:
         return "0"
     pieces: list[str] = []
     for exps, c in p.sorted_terms():
@@ -301,7 +407,7 @@ def _frac_latex(c: Fraction) -> str:
 
 def poly_latex(p: MultiPoly) -> str:
     """LaTeX rendering in the same canonical term order."""
-    if not p.terms:
+    if p.is_zero:
         return "0"
     pieces: list[str] = []
     for exps, c in p.sorted_terms():

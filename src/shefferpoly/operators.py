@@ -31,27 +31,29 @@ product of B's weights along e, B e, ..., B^(k-1) e; for B = d/dy this is
 h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k).  The shift bases d/dy,
 Theta = -d/dx x d/dx and -d/dx x d/dy all take this path.
 
-Images, and every intermediate value inside a composite, are integer
-numerators over one denominator, reduced by their gcd.  ``LinOp.apply`` is
-the one linear extension; it converts to Fractions once, at its boundary
-(one per output term).  Each instance memoizes its images; a leaf reads its own
+Images, and every intermediate value inside a composite, are in the
+polynomial's own representation: integer numerators over one denominator,
+reduced by their gcd (``multipoly.Num``), summed by ``multipoly._collect``.
+``LinOp.apply`` is the one linear extension, and there is no conversion at
+its boundary: it hands the polynomial's fields to the kernel and wraps the
+result as it is.  Each instance memoizes its images; a leaf reads its own
 ``image`` once per monomial, so every composite sees the leaf's action, and
 an operator applied to many polynomials (the raising and lowering operators
 of a monomiality check, over every member and every commutator test
 monomial) computes the image of each monomial once.  The memo is freed
 with the operator.  Operators are immutable expression trees and
 application is pure: a memo write stores the value any other call would
-compute, and ``apply`` always returns a fresh polynomial, never a memoized
-one, so concurrent use is safe.
+compute, and since polynomials are immutable, a result that shares its
+fields with a memoized image cannot change it, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, as_poly
+from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, Num, _collect, _wrap, as_poly
 from .series import OrderTooSmall, Series
 
 
@@ -79,12 +81,6 @@ def _zero_deltas() -> Deltas:
     return {v: 0 for v in VARS}
 
 
-_ONE = Fraction(1)
-
-# A polynomial in numerator form: {exponents: integer numerator} over one
-# positive denominator, with the gcd of the numerators and the denominator
-# divided out (the zero polynomial is ({}, 1)).
-Num = tuple[dict[Exponent, int], int]
 # A weighted shift's image of one monomial: (e', a, b) for (a/b) x^e', or
 # None when the monomial is sent to zero.
 Shift = tuple[Exponent, int, int] | None
@@ -92,42 +88,14 @@ Shift = tuple[Exponent, int, int] | None
 _MISSING = object()
 
 
-def _term(e: Exponent, c: Fraction = _ONE) -> MultiPoly:
-    """c times the monomial with exponents e (zero when c is 0)."""
-    return MultiPoly._raw({e: c} if c else {})
+def _term(e: Exponent, n: int = 1, d: int = 1) -> MultiPoly:
+    """n/d times the monomial with exponents e (zero when n is 0); n/d is
+    in lowest terms with d > 0."""
+    return _wrap(({e: n}, d) if n else ({}, 1))
 
 
 def _bump(e: Exponent, i: int, step: int) -> Exponent:
     return e[:i] + (e[i] + step,) + e[i + 1:]
-
-
-def _numerators(p: MultiPoly) -> Num:
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
-
-
-def _poly(num: Num) -> MultiPoly:
-    t, d = num
-    return MultiPoly._raw({e: Fraction(n, d) for e, n in t.items()})
-
-
-def _collect(parts: list[tuple[Exponent, int, int]], den: int = 1) -> Num:
-    """The sum of (n/d) x^e over parts (e, n, d), divided by den."""
-    if len(parts) == 1:
-        e, n, d = parts[0]
-        d *= den
-        g = gcd(n, d)
-        return ({e: n // g}, d // g) if n else ({}, 1)
-    common = lcm(*[d for _, _, d in parts])
-    acc: dict[Exponent, int] = {}
-    for e, n, d in parts:
-        acc[e] = acc.get(e, 0) + n * (common // d)
-    acc = {e: n for e, n in acc.items() if n}
-    den *= common
-    g = gcd(den, *acc.values())
-    if g == 1:
-        return acc, den
-    return {e: n // g for e, n in acc.items()}, den // g
 
 
 def _shift_of(op: "LinOp", e: Exponent) -> Shift:
@@ -145,9 +113,9 @@ class LinOp:
     A leaf defines ``image(e)``, its action on the single monomial with
     exponents e, and sets ``shift`` when that image is always one monomial
     or zero.  Composites define ``_shift`` (when they are weighted shifts)
-    or ``_image``, both in numerator form.  ``apply`` is the linear
-    extension, written once here: each image is computed once per instance
-    and kept in the instance's memo.
+    or ``_image``, both on (numerators, denominator) fields.  ``apply`` is
+    the linear extension, written once here: each image is computed once
+    per instance and kept in the instance's memo.
     """
 
     shift = False
@@ -163,15 +131,16 @@ class LinOp:
 
     def _shift(self, e: Exponent) -> Shift:
         """A weighted-shift leaf's image of x^e, read from ``image``."""
-        terms = self.image(e).terms
-        if not terms:
+        img = self.image(e)
+        if not img._nums:
             return None
-        (e2, c), = terms.items()
-        return e2, c.numerator, c.denominator
+        (e2, n), = img._nums.items()
+        return e2, n, img._den
 
     def _image(self, e: Exponent) -> Num:
         """A leaf's image of x^e, read from ``image``."""
-        return _numerators(self.image(e))
+        img = self.image(e)
+        return img._nums, img._den
 
     def _act(self, terms: dict[Exponent, int], den: int) -> Num:
         """This operator applied to sum_e terms[e] x^e / den."""
@@ -190,11 +159,11 @@ class LinOp:
                 img = memo[e] = self._image(e)
             images.append((n, img))
         if den == 1 and len(images) == 1 and images[0][0] == 1:
-            return images[0][1]  # numerator forms are never mutated
+            return images[0][1]  # polynomial fields are never mutated
         return _collect([(e2, n * k, d) for n, (t, d) in images for e2, k in t.items()], den)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        return _poly(self._act(*_numerators(p)))
+        return _wrap(self._act(p._nums, p._den))
 
     def deltas(self) -> Deltas:
         raise NotImplementedError
@@ -246,7 +215,7 @@ class Scale(LinOp):
         self.c = Fraction(c)
 
     def image(self, e: Exponent) -> MultiPoly:
-        return _term(e, self.c)
+        return _term(e, self.c.numerator, self.c.denominator)
 
     def deltas(self) -> Deltas:
         return _zero_deltas()
@@ -260,7 +229,7 @@ class MulPoly(LinOp):
 
     def __init__(self, poly: MultiPoly):
         self.poly = as_poly(poly)
-        self.shift = len(self.poly.terms) <= 1
+        self.shift = len(self.poly._nums) <= 1
 
     def image(self, e: Exponent) -> MultiPoly:
         return self.poly * _term(e)
@@ -301,7 +270,7 @@ class Deriv(LinOp):
         self.index = VAR_INDEX[var]
 
     def image(self, e: Exponent) -> MultiPoly:
-        return _term(_bump(e, self.index, -1), Fraction(e[self.index]))
+        return _term(_bump(e, self.index, -1), e[self.index])
 
     def deltas(self) -> Deltas:
         d = _zero_deltas()
@@ -320,7 +289,7 @@ class InvDeriv(LinOp):
         self.index = VAR_INDEX[var]
 
     def image(self, e: Exponent) -> MultiPoly:
-        return _term(_bump(e, self.index, 1), Fraction(1, e[self.index] + 1))
+        return _term(_bump(e, self.index, 1), 1, e[self.index] + 1)
 
     def deltas(self) -> Deltas:
         d = _zero_deltas()
@@ -587,12 +556,12 @@ class CommutatorReport:
 def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> CommutatorReport:
     """Check (a∘b - b∘a) = identity on all monomials of degree <= test_degree."""
     for m in monomials_up_to(test_degree):
-        num = _numerators(m)
+        num = m._nums, m._den
         t1, d1 = a._act(*b._act(*num))
         t2, d2 = b._act(*a._act(*num))
         got = _collect([(e, n, d1) for e, n in t1.items()] + [(e, -n, d2) for e, n in t2.items()])
         if got != num:
-            return CommutatorReport(False, m, _poly(got))
+            return CommutatorReport(False, m, _wrap(got))
     return CommutatorReport(True, None, None)
 
 
@@ -615,7 +584,7 @@ def exp_operator(
     regardless (used for identities stated "up to degree d").
     """
     gen = exp_generator(terms)
-    k = cutoff if cutoff is not None else _degree_bound(gen.deltas(), p.terms)
+    k = cutoff if cutoff is not None else _degree_bound(gen.deltas(), p._nums)
     if k is None:
         raise NonNilpotentGenerator(
             "no variable is lowered by every generator term; "
@@ -670,9 +639,9 @@ def substitute_operators(
     substitution recipe used in this package).
     """
     one = MultiPoly.const(1)
-    out = MultiPoly.zero()
-    for exps, c in p.terms.items():
-        term = MultiPoly.const(c)
+    parts = []
+    for exps, n in p._nums.items():
+        term = one
         for v, e in zip(VARS, exps):
             if not e:
                 continue
@@ -683,5 +652,6 @@ def substitute_operators(
                 term = term * op_pow(image, e).apply(one)
             else:
                 term = term * as_poly(image) ** e
-        out = out + term
-    return out
+        d = term._den
+        parts += [(e2, n * k, d) for e2, k in term._nums.items()]
+    return _wrap(_collect(parts, p._den))

@@ -332,10 +332,7 @@ def _leghp_s_specialized(row: str, n: int, r: int, order: int) -> MultiPoly:
             member.substitute({"x": 0}), {"y": inv_deriv("x"), "z": _Y})
     if row == "IV":
         p = member.substitute({"x": 0}).substitute({"y": _X, "z": _Y})
-        out = MultiPoly.zero()
-        for exps, c in p.terms.items():
-            out = out + MultiPoly.monomial(exps, c * _fact(sum(exps)))
-        return out
+        return p.scale_monomials(lambda e: _fact(sum(e)))
     if row == "V":
         return substitute_operators(
             member.substitute({"x": 0}), {"z": compose(scale(-1), inv_deriv("x"))})

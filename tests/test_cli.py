@@ -206,3 +206,16 @@ def test_out_flag_writes_file(tmp_path):
 def test_golden_outputs(capsys, golden, args):
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("kind", ["S", "R", "sheffer"])
+def test_expand_huge_order_computes_only_the_requested_members(kind, capsys):
+    # member n does not depend on the truncation order once it is >= n, so
+    # an order far beyond the requested n costs nothing extra
+    args = ["expand", "--pair", "identity", "--kind", kind, "--n", "0..2"]
+    assert main(args + ["--order", "100000"]) == 0
+    huge = capsys.readouterr().out.splitlines()
+    assert main(args + ["--order", "12"]) == 0
+    small = capsys.readouterr().out.splitlines()
+    assert huge[0].endswith("order 100000") and small[0].endswith("order 12")
+    assert huge[1:] == small[1:] and len(huge) == 4

@@ -10,9 +10,12 @@ from shefferpoly import (
     MixedFamily,
     MultiPoly,
     UnknownReduction,
+    catalog,
     deriv,
     get_pair,
+    gould_hopper,
     leghp_S,
+    sheffer_poly,
     theta_operator,
 )
 
@@ -407,3 +410,42 @@ def test_appell_specialization():
             base = leghp_S(n - j, 2, 10) / math.factorial(n - j)
             acc = acc + base * A.coeffs[j]
         assert acc * math.factorial(n) == f.member(n)
+
+
+@pytest.mark.parametrize("name,read", [
+    ("MixedFamily.member", lambda: MixedFamily(get_pair("hahn"), "S", 2, 12).member(3)),
+    ("sheffer_poly", lambda: sheffer_poly(get_pair("hahn"), 3, 12)),
+    ("gould_hopper", lambda: gould_hopper(3, 2, 12)),
+])
+def test_cached_member_cannot_be_corrupted(name, read):
+    # members are stored in the shared memo; a caller writing to what it
+    # got must not change what the next caller reads
+    m = read()
+    before = str(m)
+    m.terms[(9, 9, 9)] = F(1)
+    m.terms.clear()
+    with pytest.raises(AttributeError):
+        m.terms = {}
+    again = read()
+    assert str(again) == before
+    assert again == m and not again.is_zero
+
+
+def test_printed_r_route_row_fails_once_the_route_is_evaluable(monkeypatch):
+    # the row records that exp of the printed R-kind generator is not
+    # evaluable; if the route ever evaluates, to the member or not, the row
+    # must fail rather than keep passing
+    from shefferpoly import mixed, suites
+
+    def row():
+        rows = [c for c in suites.suite_operational(order=6, max_n=0, rs=(2,))
+                if c.name == "R-kind printed route (recorded verdict)"]
+        assert len(rows) == 1
+        return rows[0]
+
+    assert row().passed
+    fam_r = MixedFamily(catalog()[0], "R", 2, 6)
+    for result in (lambda p: p, lambda p: fam_r.egf_member(2)):
+        monkeypatch.setattr(mixed, "exp_operator",
+                            lambda terms, p, cutoff=None, result=result: result(p))
+        assert not row().passed
