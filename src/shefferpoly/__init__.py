@@ -3,6 +3,7 @@ Gould-Hopper bases: truncated power series over the rationals, a formal
 operator calculus, the classical pair catalog, and verification suites for
 the families' quasi-monomial structure."""
 
+from .checks import Check
 from .multipoly import MultiPoly, poly_latex, poly_str
 from .series import (
     ConstantTermNotOne,
@@ -46,14 +47,11 @@ from .families import (
 )
 from .mixed import (
     MixedFamily,
-    MonomialityReport,
-    ReductionResult,
     REDUCTIONS,
     UnknownReduction,
     theta_operator,
 )
 from .oracle import (
-    OracleResult,
     UnknownRow,
     UnknownSuite,
     cross_validate,
@@ -75,9 +73,9 @@ __all__ = [
     "ShefferPair", "catalog", "get_pair", "pair_names",
     "gould_hopper", "tricomi_c", "legendre_S", "legendre_R",
     "leghp_S", "leghp_R", "sheffer_poly", "umbral_pairing",
-    "MixedFamily", "MonomialityReport", "ReductionResult", "REDUCTIONS",
+    "Check", "MixedFamily", "REDUCTIONS",
     "UnknownReduction", "theta_operator",
-    "OracleResult", "UnknownRow", "UnknownSuite", "cross_validate",
+    "UnknownRow", "UnknownSuite", "cross_validate",
     "oracle_explicit_sum", "oracle_series_product", "lagrange_inverse",
     "__version__",
 ]

@@ -172,6 +172,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.pair and args.pair != "all":
+        get_pair(args.pair)  # an unknown name is a usage error
     kwargs = {}
     if args.max_n is not None:
         if args.max_n < 0:

@@ -14,7 +14,7 @@ different Phi.
 
 Members are stored at the weight written above (so R-kind members carry
 the full (n!)^2 scale; the n!-normalised family m_n/n! is the one the
-quasi-monomial operators act on, and verification reports test both).
+quasi-monomial operators act on, and the monomiality checks test both).
 
 The S-kind family is quasi-monomial under
 
@@ -30,19 +30,19 @@ y-multiplication by -D_x^(-1) + D_y^(-1) but keep d/dy as the series
 argument; that pairing is checked as stated and, separately, a variant
 with the series arguments taken at Theta = -d/dx x d/dx (the operator
 that multiplies the R-kind generating function by t) is checked as well.
-The verification report records a definite verdict for every variant;
-only the theta variant at egf weight is asserted (``core_pass``).
+Every check here returns :class:`~shefferpoly.checks.Check` records, one
+definite verdict per identity, variant, normalisation and n; the
+monomiality suite asserts only the theta variant at egf weight.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
+from .checks import Check, compare
 from .multipoly import MultiPoly
 from .operators import (
     LinOp,
@@ -90,7 +90,7 @@ class MixedFamily:
     >>> fam = MixedFamily(get_pair("identity"), "S", 2, 8)
     >>> print(fam.member(2))
     y^2 + 2*x + 2*z
-    >>> fam.verify_monomiality(3).core_pass
+    >>> all(c.passed for c in fam.verify_monomiality(3))
     True
     """
 
@@ -194,10 +194,14 @@ class MixedFamily:
 
     # -- verification -----------------------------------------------------------
 
-    def verify_monomiality(self, max_n: int) -> "MonomialityReport":
+    def verify_monomiality(self, max_n: int) -> list[Check]:
         """Raising, lowering, differential equation and commutator records
         for each operator variant (S: printed; R: printed, theta) and
-        normalisation (S: egf; R: egf, stored)."""
+        normalisation (S: egf; R: egf, stored).
+
+        Each record is named "{identity}/{variant}/{normalization}" and
+        carries its n (the commutator's is its test degree).
+        """
         if max_n + 1 > self.order:
             raise OrderTooSmall("raising check at max_n needs order >= max_n + 1")
         # the operator-series factors carry order - 1 terms (one is lost
@@ -209,7 +213,7 @@ class MixedFamily:
             variants, norms = ("printed", "theta"), ("egf", "stored")
         weighted = {"egf": self.egf_member, "stored": self.member}
         members = {norm: [weighted[norm](n) for n in range(max_n + 2)] for norm in norms}
-        records: list[CheckRecord] = []
+        checks: list[Check] = []
         for vname in variants:
             M = self.raising_operator(vname)
             P = self.lowering_operator(vname)
@@ -218,21 +222,17 @@ class MixedFamily:
                     at = members[norm]
                     mn = at[n]
                     down = at[n - 1] * n if n else MultiPoly.zero()
-                    records.append(_record(
-                        "raising", n, vname, norm, M.apply(mn), at[n + 1]))
-                    records.append(_record(
-                        "lowering", n, vname, norm, P.apply(mn), down))
+                    checks.append(compare("monomiality", f"raising/{vname}/{norm}",
+                                          M.apply(mn), at[n + 1], n))
+                    checks.append(compare("monomiality", f"lowering/{vname}/{norm}",
+                                          P.apply(mn), down, n))
                 mn = members["egf"][n]
-                records.append(_residual_record(
-                    "diffeq", n, vname, "egf", M.apply(P.apply(mn)) - mn * n))
+                checks.append(compare("monomiality", f"diffeq/{vname}/egf",
+                                      M.apply(P.apply(mn)) - mn * n, 0, n, "residual {}"))
             com = commutator_check(P, M, degree)
-            records.append(CheckRecord(
-                "commutator", degree, vname, "egf",
-                com.passed, None if com.passed else com.describe))
-        return MonomialityReport(
-            pair=self.pair.name, kind=self.kind, r=self.r,
-            max_n=max_n, records=records,
-        )
+            checks.append(Check("monomiality", f"commutator/{vname}/egf",
+                                com.passed, com.detail, degree))
+        return checks
 
     # -- operational representations ----------------------------------------------
 
@@ -248,7 +248,7 @@ class MixedFamily:
             (Fraction(1), compose(inv_deriv("x"), op_pow(deriv("y"), 2))), z_term])
         return OpSeries(exp, lift), OpSeries(exp, exp_generator([z_term]))
 
-    def operational_rep_check(self, n: int) -> list["CheckRecord"]:
+    def operational_rep_check(self, n: int) -> list[Check]:
         """Check the exponential-operator routes to member(n).
 
         S-kind: (a) exp(D_x^(-1) d_y^2 + z d_y^r) applied to the plain
@@ -260,37 +260,32 @@ class MixedFamily:
         y; the middle generator does not lower any degree, so the
         exponential does not truncate, and the record states that outcome.
         """
-        out: list[CheckRecord] = []
+        s_n = sheffer_poly_in_y(self.pair, n, self.order)
         if self.kind == "S":
             lift, restore = self._exp_routes
-            s_n = sheffer_poly_in_y(self.pair, n, self.order)
-            out.append(_record("sheffer-lift", n, "printed", "egf",
-                               lift.apply(s_n), self.member(n)))
             base = self.member(n).substitute({"z": Fraction(0)})
-            out.append(_record("z-restoration", n, "printed", "egf",
-                               restore.apply(base), self.member(n)))
-        else:
-            s_n = sheffer_poly_in_y(self.pair, n, self.order)
-            try:
-                got = exp_operator(
-                    [
-                        (Fraction(-1), compose(inv_deriv("x"), deriv("y"))),
-                        (Fraction(1), compose(inv_deriv("y"), deriv("y"))),
-                        (_Z, op_pow(deriv("y"), self.r)),
-                    ],
-                    s_n,
-                )
-                out.append(_record("vacuum-lift-printed", n, "printed", "egf",
-                                   got, self.egf_member(n)))
-            except NonNilpotentGenerator as exc:
-                out.append(CheckRecord(
-                    "vacuum-lift-printed", n, "printed", "egf", False,
-                    f"not evaluable: {exc}"))
-        return out
+            return [
+                compare("operational", "sheffer-lift", lift.apply(s_n), self.member(n), n),
+                compare("operational", "z-restoration", restore.apply(base),
+                        self.member(n), n),
+            ]
+        try:
+            got = exp_operator(
+                [
+                    (Fraction(-1), compose(inv_deriv("x"), deriv("y"))),
+                    (Fraction(1), compose(inv_deriv("y"), deriv("y"))),
+                    (_Z, op_pow(deriv("y"), self.r)),
+                ],
+                s_n,
+            )
+        except NonNilpotentGenerator as exc:
+            return [Check("operational", "vacuum-lift-printed", False,
+                          f"not evaluable: {exc}", n)]
+        return [compare("operational", "vacuum-lift-printed", got, self.egf_member(n), n)]
 
     # -- integral representation ----------------------------------------------------
 
-    def integral_rep_check(self, n: int) -> "CheckRecord":
+    def integral_rep_check(self, n: int) -> Check:
         """Replace z by s z and integrate against e^(-s) (the moment rule
         z^k -> k! z^k); this turns exp(z H^r) into 1/(1 - z H^r), so the
         result must equal the member of the family generated with that
@@ -299,11 +294,11 @@ class MixedFamily:
         integrated = member.scale_monomials(lambda e: math.factorial(e[2]))
         phi = leghp_phi(self.kind, self.r)[:-1] + (geometric((_Z, self.r)),)
         target = family_member(self.pair, phi, n, self.order, self.weight(n))
-        return _record("integral-rep", n, "printed", "stored", integrated, target)
+        return compare("integral", "integral-rep", integrated, target, n)
 
     # -- reductions -------------------------------------------------------------------
 
-    def reduce(self, reduction: str, n: int) -> "ReductionResult":
+    def reduce(self, reduction: str, n: int) -> Check:
         """Specialise member(n) per a named recipe and compare against an
         independently assembled target family member."""
         recipe = REDUCTIONS.get(reduction)
@@ -318,7 +313,7 @@ class MixedFamily:
                 f"reduction {reduction!r} requires r = {recipe.requires_r}")
         lhs = recipe.specialize(self, n)
         rhs = family_member(self.pair, recipe.phi(self.r), n, self.order, self.weight(n))
-        return ReductionResult(reduction, n, lhs, rhs, lhs == rhs, recipe.note)
+        return compare("reductions", reduction, lhs, rhs, n, "{} != {}")
 
 
 def theta_operator() -> LinOp:
@@ -330,129 +325,6 @@ def theta_operator() -> LinOp:
 def sheffer_poly_in_y(pair: ShefferPair, n: int, order: int) -> MultiPoly:
     """The plain Sheffer polynomial s_n written in the variable y."""
     return sheffer_poly(pair, n, order).substitute({"x": _Y})
-
-
-# -- check bookkeeping ------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class CheckRecord:
-    """One verdict.  ``detail`` is None on a pass; on a failure it is the
-    witness text, or a callable that renders it when ``witness`` is first
-    read (most failing records are never printed)."""
-
-    identity: str
-    n: int
-    variant: str
-    normalization: str
-    passed: bool
-    detail: str | Callable[[], str] | None = field(repr=False)
-
-    @cached_property
-    def witness(self) -> str | None:
-        return self.detail() if callable(self.detail) else self.detail
-
-    def _key(self) -> tuple:
-        return (self.identity, self.n, self.variant, self.normalization,
-                self.passed, self.witness)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CheckRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "n": self.n,
-            "variant": self.variant,
-            "normalization": self.normalization,
-            "pass": self.passed,
-            "witness": self.witness,
-        }
-
-
-def _record(identity, n, variant, norm, got, want) -> CheckRecord:
-    ok = got == want
-    return CheckRecord(identity, n, variant, norm, ok,
-                       None if ok else lambda: f"got {got}; expected {want}")
-
-
-def _residual_record(identity, n, variant, norm, residual: MultiPoly) -> CheckRecord:
-    ok = residual.is_zero
-    return CheckRecord(identity, n, variant, norm, ok,
-                       None if ok else lambda: f"residual {residual}")
-
-
-@dataclass(frozen=True)
-class MonomialityReport:
-    """Verdicts for raising / lowering / differential equation / commutator.
-
-    ``core_pass`` aggregates the identities the theory asserts outright:
-    every S-kind record, and every R-kind record of the theta variant at
-    egf weight.  The other R-kind verdicts are recorded, not asserted.
-    """
-
-    pair: str
-    kind: str
-    r: int
-    max_n: int
-    records: list[CheckRecord] = field(default_factory=list)
-
-    @property
-    def core_pass(self) -> bool:
-        if self.kind == "S":
-            return all(rec.passed for rec in self.records)
-        theta = [rec.passed for rec in self.records
-                 if rec.variant == "theta" and rec.normalization == "egf"]
-        return bool(theta) and all(theta)
-
-    def passing(self, identity: str, variant: str, normalization: str) -> bool:
-        recs = [
-            r for r in self.records
-            if r.identity == identity and r.variant == variant
-            and r.normalization == normalization
-        ]
-        return bool(recs) and all(r.passed for r in recs)
-
-    def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.passed]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "kind": self.kind,
-            "r": self.r,
-            "max_n": self.max_n,
-            "core_pass": self.core_pass,
-            "checks": [r.to_json_dict() for r in self.records],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    reduction: str
-    n: int
-    specialized: MultiPoly
-    target: MultiPoly
-    equal: bool
-    note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "reduction": self.reduction,
-            "n": self.n,
-            "specialized": str(self.specialized),
-            "target": str(self.target),
-            "equal": self.equal,
-            "note": self.note,
-        }
 
 
 # -- the reduction registry ---------------------------------------------------------

@@ -236,6 +236,9 @@ class MultiPoly:
         return bool(self._nums)
 
     def __hash__(self):
+        # a constant equals its scalar, so it must hash as one
+        if self._nums.keys() <= {_CONST}:
+            return hash(Fraction(self._nums.get(_CONST, 0), self._den))
         return hash((self._den, frozenset(self._nums.items())))
 
     # -- queries -----------------------------------------------------------

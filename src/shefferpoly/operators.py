@@ -17,7 +17,8 @@ finitely many terms on any polynomial, so the action is exact.
 :func:`exp_operator` is the operator series exp(B) for a generator
 B = sum c_i op_i, with the same degree bound; it refuses to exponentiate
 a generator that does not visibly lower a common variable unless the
-caller supplies an explicit cutoff.
+caller supplies an explicit cutoff.  :func:`commutator_check` and
+:func:`crofton_check` return one :class:`~shefferpoly.checks.Check` each.
 
 Every leaf operator (``Deriv``, ``InvDeriv``, ``MulVar``, ``Scale``,
 ``Identity``, ``MulPoly``) defines only its image of one monomial,
@@ -53,6 +54,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
 
+from .checks import Check, compare
 from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, Num, _collect, _wrap, as_poly
 from .series import OrderTooSmall, Series
 
@@ -536,33 +538,21 @@ def monomials_up_to(max_degree: int) -> list[MultiPoly]:
     return out
 
 
-class CommutatorReport:
-    """Result of an extensional commutator check on monomials."""
+def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> Check:
+    """Check (a∘b - b∘a) = identity on all monomials of degree <= test_degree.
 
-    def __init__(self, passed: bool, witness: MultiPoly | None, got: MultiPoly | None):
-        self.passed = passed
-        self.witness = witness
-        self.got = got
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def describe(self) -> str:
-        if self.passed:
-            return "PASS"
-        return f"FAIL at {self.witness}: commutator gives {self.got}"
-
-
-def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> CommutatorReport:
-    """Check (a∘b - b∘a) = identity on all monomials of degree <= test_degree."""
+    The record carries test_degree as its n; a failure names the first
+    monomial, in graded-lex order, where the identity breaks.
+    """
     for m in monomials_up_to(test_degree):
         num = m._nums, m._den
         t1, d1 = a._act(*b._act(*num))
         t2, d2 = b._act(*a._act(*num))
         got = _collect([(e, n, d1) for e, n in t1.items()] + [(e, -n, d2) for e, n in t2.items()])
         if got != num:
-            return CommutatorReport(False, m, _wrap(got))
-    return CommutatorReport(True, None, None)
+            return Check("operators", "commutator", False,
+                         lambda: f"FAIL at {m}: commutator gives {_wrap(got)}", test_degree)
+    return Check("operators", "commutator", True, None, test_degree)
 
 
 def exp_generator(terms: Iterable[tuple[MultiPoly | int | Fraction, LinOp]]) -> LinOp:
@@ -593,24 +583,7 @@ def exp_operator(
     return OpSeries(Series.t(k).exp(), gen, k).apply(p)
 
 
-class OpCheck:
-    """A generic two-sided operator identity check."""
-
-    def __init__(self, description: str, lhs: MultiPoly, rhs: MultiPoly):
-        self.description = description
-        self.lhs = lhs
-        self.rhs = rhs
-        self.passed = lhs == rhs
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def describe(self) -> str:
-        status = "PASS" if self.passed else f"FAIL: {self.lhs} != {self.rhs}"
-        return f"{self.description}: {status}"
-
-
-def crofton_check(m: int, lam: MultiPoly, f_poly: MultiPoly) -> OpCheck:
+def crofton_check(m: int, lam: MultiPoly, f_poly: MultiPoly) -> Check:
     """Check f(y + m*lam*d^(m-1)/dy^(m-1)){1} = exp(lam*d^m/dy^m){f(y)}.
 
     ``f_poly`` is a polynomial in y; ``lam`` must not involve y.
@@ -624,7 +597,7 @@ def crofton_check(m: int, lam: MultiPoly, f_poly: MultiPoly) -> OpCheck:
     )
     lhs = substitute_operators(f_poly, {"y": shifted_arg})
     rhs = exp_operator([(lam, op_pow(Deriv("y"), m))], f_poly)
-    return OpCheck(f"shift identity m={m}", lhs, rhs)
+    return compare("crofton", f"shift identity m={m}", lhs, rhs, form="{} != {}")
 
 
 def substitute_operators(

@@ -8,16 +8,18 @@ types (Fraction lives in the stdlib, MultiPoly here); the series module is
 deliberately not used, so a bug there cannot hide in the comparison.
 
 ``cross_validate`` pulls the engine route for the other side of each
-comparison and returns the full pair of values for every mismatch.
+comparison and returns one :class:`~shefferpoly.checks.Check` per
+comparison, named by its description; a mismatch's witness renders both
+values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .checks import Check, compare
 from .multipoly import MultiPoly
 from . import families
 from .operators import (
@@ -42,23 +44,8 @@ class UnknownSuite(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    description: str
-    lhs: MultiPoly
-    rhs: MultiPoly
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "equal": self.equal,
-        }
+def _compare(description: str, engine: MultiPoly, oracle: MultiPoly) -> Check:
+    return compare("oracle", description, engine, oracle, form="{} != {}")
 
 
 def _fact(n: int) -> int:
@@ -308,11 +295,11 @@ def lagrange_inverse(f: Sequence[Fraction], order: int) -> list[Fraction]:
 # -- the registered comparison suites ----------------------------------------------
 
 
-def _suite_ghp_vs_explicit(max_n: int) -> list[OracleResult]:
+def _suite_ghp_vs_explicit(max_n: int) -> list[Check]:
     out = []
     for s in (2, 3, 4):
         for n in range(max_n + 1):
-            out.append(OracleResult(
+            out.append(_compare(
                 f"Gould-Hopper s={s} n={n}: series route vs explicit sum",
                 families.gould_hopper(n, s, max_n),
                 row_gould_hopper(n, s),
@@ -356,7 +343,7 @@ def _leghp_s_specialized(row: str, n: int, r: int, order: int) -> MultiPoly:
     raise UnknownRow(row)
 
 
-def _suite_leghp_s_vs_table(max_n: int) -> list[OracleResult]:
+def _suite_leghp_s_vs_table(max_n: int) -> list[Check]:
     order = max_n
     cases: list[tuple[str, int, Callable[[int], MultiPoly]]] = [
         ("I", 3, lambda n: row_gould_hopper(n, 3)),
@@ -376,7 +363,7 @@ def _suite_leghp_s_vs_table(max_n: int) -> list[OracleResult]:
     out = []
     for row, r, target in cases:
         for n in range(max_n + 1):
-            out.append(OracleResult(
+            out.append(_compare(
                 f"S-kind base row {row} (r={r}) n={n}",
                 _leghp_s_specialized(row, n, r, order),
                 target(n),
@@ -384,33 +371,33 @@ def _suite_leghp_s_vs_table(max_n: int) -> list[OracleResult]:
     return out
 
 
-def _suite_leghp_r_vs_table(max_n: int) -> list[OracleResult]:
+def _suite_leghp_r_vs_table(max_n: int) -> list[Check]:
     order = max_n
     out = []
     for n in range(max_n + 1):
         member = families.leghp_R(n, 2, order)
-        out.append(OracleResult(
+        out.append(_compare(
             f"R-kind base row III (m=2) n={n}",
             member.substitute({"y": 0}).substitute({"z": _Y, "x": -_X}),
             row_laguerre_type(n, 2) * _fact(n),
         ))
     for n in range(max_n + 1):
         member = families.leghp_R(n, 1, order)
-        out.append(OracleResult(
+        out.append(_compare(
             f"R-kind base row V (r=1) n={n}",
             member.substitute({"y": 0}).substitute({"z": _Y}),
             row_laguerre(n) * _fact(n),
         ))
     for n in range(max_n + 1):
         member = families.leghp_R(n, 2, order)
-        out.append(OracleResult(
+        out.append(_compare(
             f"R-kind base row VI n={n}",
             member.substitute({"z": 0}),
             row_legendre_R(n),
         ))
     for n in range(max_n + 1):
         member = families.leghp_R(n, 2, order)
-        out.append(OracleResult(
+        out.append(_compare(
             f"R-kind base row IX (r=2) n={n}",
             member.substitute({"x": 0}).substitute({"y": _X, "z": _Y}),
             row_hermite_type(n) * _fact(n),
@@ -418,7 +405,7 @@ def _suite_leghp_r_vs_table(max_n: int) -> list[OracleResult]:
     for n in range(max_n + 1):
         member = families.leghp_R(n, 1, order)
         half = Fraction(1, 2)
-        out.append(OracleResult(
+        out.append(_compare(
             f"R-kind base row X (r=1) n={n}",
             member.substitute(
                 {"x": (MultiPoly.const(1) - _X) * half,
@@ -428,7 +415,7 @@ def _suite_leghp_r_vs_table(max_n: int) -> list[OracleResult]:
     return out
 
 
-def _suite_series_vs_naive(max_n: int) -> list[OracleResult]:
+def _suite_series_vs_naive(max_n: int) -> list[Check]:
     from .pairs import get_pair
 
     order = max_n
@@ -449,11 +436,11 @@ def _suite_series_vs_naive(max_n: int) -> list[OracleResult]:
         engine = families.expand(identity, factors, order)
         naive = oracle_series_product(rules, order)
         for n in range(order + 1):
-            out.append(OracleResult(f"{label}: [t^{n}]", engine[n], naive[n]))
+            out.append(_compare(f"{label}: [t^{n}]", engine[n], naive[n]))
     return out
 
 
-def _suite_lagrange_vs_newton(max_n: int) -> list[OracleResult]:
+def _suite_lagrange_vs_newton(max_n: int) -> list[Check]:
     from .pairs import catalog
 
     # inversion needs order >= 1; coefficients 0..max_n are compared
@@ -463,7 +450,7 @@ def _suite_lagrange_vs_newton(max_n: int) -> list[OracleResult]:
         res = pair.resolved(order)
         lag = lagrange_inverse(res.f.coeffs, order)
         for n in range(max_n + 1):
-            out.append(OracleResult(
+            out.append(_compare(
                 f"compositional inverse of {pair.name} f: [t^{n}]",
                 MultiPoly.const(res.H.coeffs[n]),
                 MultiPoly.const(lag[n]),
@@ -471,7 +458,7 @@ def _suite_lagrange_vs_newton(max_n: int) -> list[OracleResult]:
     return out
 
 
-_SUITES: dict[str, Callable[[int], list[OracleResult]]] = {
+_SUITES: dict[str, Callable[[int], list[Check]]] = {
     "ghp-vs-explicit": _suite_ghp_vs_explicit,
     "leghpS-vs-table1": _suite_leghp_s_vs_table,
     "leghpR-vs-table1": _suite_leghp_r_vs_table,
@@ -484,7 +471,7 @@ def suite_names() -> list[str]:
     return sorted(_SUITES)
 
 
-def cross_validate(suite: str, max_n: int) -> list[OracleResult]:
+def cross_validate(suite: str, max_n: int) -> list[Check]:
     """Run one registered engine-vs-oracle comparison exhaustively."""
     fn = _SUITES.get(suite)
     if fn is None:

@@ -1,24 +1,27 @@
 """Named verification suites: thin orchestration over the engine checks.
 
 Each suite enumerates (pair, kind, r, n) combinations, calls the engine,
-and returns a flat list of :class:`Check` rows.  The CLI and the
-acceptance tests both run through here so there is exactly one definition
-of what each suite covers.
+and returns a flat list of :class:`~shefferpoly.checks.Check` rows: most
+rows are :func:`~shefferpoly.checks.first_failure` over a filter of the
+engine's records, so a row passes iff each of its checks passes and shows
+its own first failure.  The CLI and the acceptance tests both run through
+here so there is exactly one definition of what each suite covers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 
+from .checks import Check, compare, first_failure
 from .families import (
     gould_hopper,
     sheffer_poly,
     tricomi_c,
     umbral_pairing,
 )
-from .mixed import MixedFamily
+from .mixed import REDUCTIONS, MixedFamily
 from .multipoly import MultiPoly
 from .operators import (
     commutator_check,
@@ -31,7 +34,7 @@ from .operators import (
     op_pow,
 )
 from .oracle import cross_validate
-from .pairs import catalog
+from .pairs import catalog, get_pair
 
 _Y = MultiPoly.var("y")
 _Z = MultiPoly.var("z")
@@ -43,25 +46,8 @@ _PRINTED_R_ROUTE = ("not evaluable: no variable is lowered by every generator "
                     "term; supply an explicit cutoff")
 
 
-@dataclass(frozen=True)
-class Check:
-    suite: str
-    name: str
-    passed: bool
-    witness: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "pass": self.passed,
-            "witness": self.witness,
-        }
-
-
-def _check(suite: str, name: str, got, want) -> Check:
-    ok = got == want
-    return Check(suite, name, ok, None if ok else f"got {got}; expected {want}")
+def _at_n(c: Check) -> str:
+    return f"n={c.n}: "
 
 
 def suite_inverse(order: int = DEFAULT_ORDER,
@@ -74,37 +60,40 @@ def suite_inverse(order: int = DEFAULT_ORDER,
         built = pair.build(order)
         res = pair.resolved(order)
         if built.claimed_H is not None:
-            out.append(_check("inverse", f"{pair.name}: f^(-1) = H",
-                              res.H, built.claimed_H))
+            out.append(compare("inverse", f"{pair.name}: f^(-1) = H",
+                               res.H, built.claimed_H))
         if built.claimed_A is not None:
-            out.append(_check("inverse", f"{pair.name}: 1/g(f^(-1)) = A",
-                              res.A, built.claimed_A))
+            out.append(compare("inverse", f"{pair.name}: 1/g(f^(-1)) = A",
+                               res.A, built.claimed_A))
     return out
+
+
+def _pairings(pair, order: int, max_n: int):
+    """<g f^k | s_n> against n! delta_{n,k}, k-major."""
+    res = pair.resolved(order)
+    fk = res.g
+    for k in range(max_n + 1):
+        if k:
+            fk = fk * res.f
+        for n in range(max_n + 1):
+            want = Fraction(math.factorial(n)) if n == k else Fraction(0)
+            yield compare("biorthogonality", f"n={n} k={k}",
+                          umbral_pairing(fk, sheffer_poly(pair, n, order)), want,
+                          form="got {}, expected {}")
 
 
 def suite_biorthogonality(order: int = DEFAULT_ORDER, max_n: int = 6) -> list[Check]:
     """<g f^k | s_n> = n! delta_{n,k} for every pair, n, k <= max_n."""
-    out = []
-    for pair in catalog():
-        res = pair.resolved(order)
-        ok = True
-        witness = None
-        fk = res.g
-        for k in range(max_n + 1):
-            if k:
-                fk = fk * res.f
-            for n in range(max_n + 1):
-                val = umbral_pairing(fk, sheffer_poly(pair, n, order))
-                want = Fraction(math.factorial(n)) if n == k else Fraction(0)
-                if val != want:
-                    ok = False
-                    witness = f"n={n} k={k}: got {val}, expected {want}"
-                    break
-            if not ok:
-                break
-        out.append(Check("biorthogonality", f"{pair.name}: <g f^k | s_n>",
-                         ok, witness))
-    return out
+    return [first_failure("biorthogonality", f"{pair.name}: <g f^k | s_n>",
+                          _pairings(pair, order, max_n), lambda c: f"{c.name}: ")
+            for pair in catalog()]
+
+
+def core_checks(kind: str, checks: list[Check]) -> list[Check]:
+    """The records the theory asserts outright: every S-kind record, and
+    the R-kind records of the theta variant at egf weight.  The other
+    R-kind verdicts are recorded, not asserted."""
+    return checks if kind == "S" else [c for c in checks if c.name.endswith("/theta/egf")]
 
 
 def suite_monomiality(order: int = DEFAULT_ORDER, max_n: int = 8) -> list[Check]:
@@ -119,53 +108,33 @@ def suite_monomiality(order: int = DEFAULT_ORDER, max_n: int = 8) -> list[Check]
         for r in (2, 3):
             for kind in ("S", "R"):
                 fam = MixedFamily(pair, kind, r, order)
-                report = fam.verify_monomiality(max_n)
-                if kind == "S":
-                    fails = report.failures()
-                    out.append(Check(
-                        "monomiality", f"{fam.label}: S-kind suite",
-                        report.core_pass,
-                        None if not fails else
-                        f"{fails[0].identity} n={fails[0].n}: {fails[0].witness}"))
-                else:
+                checks = fam.verify_monomiality(max_n)
+                name = f"{fam.label}: " + ("S-kind suite" if kind == "S" else "R-kind verdicts")
+                row = first_failure("monomiality", name, core_checks(kind, checks),
+                                    lambda c: f"{c.name.split('/')[0]} n={c.n}: ")
+                if kind == "R":
+                    # the witness is every verdict, the recorded ones included
                     verdicts = {}
-                    for rec in report.records:
-                        key = f"{rec.identity}/{rec.variant}/{rec.normalization}"
-                        verdicts[key] = verdicts.get(key, True) and rec.passed
-                    summary = "; ".join(
-                        f"{k}={'PASS' if v else 'FAIL'}"
-                        for k, v in sorted(verdicts.items()))
-                    out.append(Check(
-                        "monomiality", f"{fam.label}: R-kind verdicts",
-                        report.core_pass, summary))
+                    for c in checks:
+                        verdicts[c.name] = verdicts.get(c.name, True) and c.passed
+                    row = replace(row, detail="; ".join(
+                        f"{k}={'PASS' if v else 'FAIL'}" for k, v in sorted(verdicts.items())))
+                out.append(row)
     return out
 
 
-def suite_operational(
-    order: int = DEFAULT_ORDER,
-    max_n: int = 8,
-    rs: tuple[int, ...] = (2, 3),
-) -> list[Check]:
+def suite_operational(order: int = DEFAULT_ORDER, max_n: int = 8) -> list[Check]:
     """Exponential-operator representations of the S-kind members, plus the
     recorded verdict for the printed R-kind route."""
     out = []
     for pair in catalog():
-        for r in rs:
+        for r in (2, 3):
             fam = MixedFamily(pair, "S", r, order)
-            ok_a = ok_b = True
-            witness = None
-            for n in range(max_n + 1):
-                for rec in fam.operational_rep_check(n):
-                    if rec.identity == "sheffer-lift" and not rec.passed:
-                        ok_a = False
-                        witness = witness or f"n={n}: {rec.witness}"
-                    if rec.identity == "z-restoration" and not rec.passed:
-                        ok_b = False
-                        witness = witness or f"n={n}: {rec.witness}"
-            out.append(Check("operational",
-                             f"{pair.name}/S/r={r}: sheffer-lift", ok_a, witness))
-            out.append(Check("operational",
-                             f"{pair.name}/S/r={r}: z-restoration", ok_b, witness))
+            checks = [c for n in range(max_n + 1) for c in fam.operational_rep_check(n)]
+            for route in ("sheffer-lift", "z-restoration"):
+                out.append(first_failure(
+                    "operational", f"{pair.name}/S/r={r}: {route}",
+                    [c for c in checks if c.name == route], _at_n))
     # the printed R-kind route is recorded: its generator lowers no common
     # variable, so the row passes only while the route stays not evaluable
     fam = MixedFamily(catalog()[0], "R", 2, order)
@@ -173,28 +142,20 @@ def suite_operational(
     out.append(Check("operational",
                      "R-kind printed route (recorded verdict)",
                      rec.witness == _PRINTED_R_ROUTE,
-                     f"{rec.identity}: {'PASS' if rec.passed else rec.witness}"))
+                     f"{rec.name}: {'PASS' if rec.passed else rec.witness}"))
     return out
 
 
-def suite_integral(order: int = DEFAULT_ORDER, max_n: int = 6,
-                   rs: tuple[int, ...] = (2, 3)) -> list[Check]:
+def suite_integral(order: int = DEFAULT_ORDER, max_n: int = 6) -> list[Check]:
     """Gamma-moment integral representations for both kinds."""
     out = []
     for pair in catalog():
-        for r in rs:
+        for r in (2, 3):
             for kind in ("S", "R"):
                 fam = MixedFamily(pair, kind, r, order)
-                ok = True
-                witness = None
-                for n in range(max_n + 1):
-                    rec = fam.integral_rep_check(n)
-                    if not rec.passed:
-                        ok = False
-                        witness = f"n={n}: {rec.witness}"
-                        break
-                out.append(Check("integral", f"{fam.label}: moment rule",
-                                 ok, witness))
+                out.append(first_failure(
+                    "integral", f"{fam.label}: moment rule",
+                    (fam.integral_rep_check(n) for n in range(max_n + 1)), _at_n))
     return out
 
 
@@ -203,41 +164,30 @@ def suite_heat(order: int = 12, max_n: int = 10) -> list[Check]:
     plus the inverse-derivative route to the Bessel-Tricomi function."""
     out = []
     for s in (2, 3, 4):
-        heat_ok = True
-        oper_ok = True
-        raise_ok = True
-        witness = None
         # M = x + s y d^(s-1)/dx^(s-1),  P = d/dx
         M = mul_var("x") + Fraction(s) * compose(
             mul_var("y"), op_pow(deriv("x"), s - 1))
         P = deriv("x")
+        heat, oper, ladder = "heat equation", f"exp(y d_x^{s}) x^n", "raising/lowering"
+        checks = []
         for n in range(max_n + 1):
             h = gould_hopper(n, s, max_n + 1)
-            lhs = deriv("y").apply(h)
-            rhs = op_pow(deriv("x"), s).apply(h)
-            if lhs != rhs:
-                heat_ok = False
-                witness = f"heat s={s} n={n}"
+            down = gould_hopper(n - 1, s, max_n + 1) * n if n else MultiPoly.zero()
             xn = MultiPoly.monomial((n, 0, 0))
-            if exp_operator([(_Y, op_pow(deriv("x"), s))], xn) != h:
-                oper_ok = False
-                witness = f"operational s={s} n={n}"
-            if M.apply(h) != gould_hopper(n + 1, s, max_n + 1):
-                raise_ok = False
-                witness = f"raising s={s} n={n}"
-            if P.apply(h) != (gould_hopper(n - 1, s, max_n + 1) * n
-                              if n else MultiPoly.zero()):
-                raise_ok = False
-                witness = f"lowering s={s} n={n}"
-        com = commutator_check(P, M, 8)
-        out.append(Check("heat", f"Gould-Hopper s={s}: heat equation", heat_ok,
-                         witness if not heat_ok else None))
-        out.append(Check("heat", f"Gould-Hopper s={s}: exp(y d_x^{s}) x^n", oper_ok,
-                         witness if not oper_ok else None))
-        out.append(Check("heat", f"Gould-Hopper s={s}: raising/lowering", raise_ok,
-                         witness if not raise_ok else None))
-        out.append(Check("heat", f"Gould-Hopper s={s}: commutator",
-                         com.passed, None if com.passed else com.describe()))
+            checks += [
+                Check("heat", heat, deriv("y").apply(h) == op_pow(deriv("x"), s).apply(h),
+                      f"heat s={s} n={n}"),
+                Check("heat", oper, exp_operator([(_Y, op_pow(deriv("x"), s))], xn) == h,
+                      f"operational s={s} n={n}"),
+                Check("heat", ladder, M.apply(h) == gould_hopper(n + 1, s, max_n + 1),
+                      f"raising s={s} n={n}"),
+                Check("heat", ladder, P.apply(h) == down, f"lowering s={s} n={n}"),
+            ]
+        for row in (heat, oper, ladder):
+            out.append(first_failure("heat", f"Gould-Hopper s={s}: {row}",
+                                     [c for c in checks if c.name == row]))
+        out.append(first_failure("heat", f"Gould-Hopper s={s}: commutator",
+                                 [commutator_check(P, M, 8)]))
     # C_0(alpha x) = exp(-alpha D_x^(-1)){1}, compared through degree `order`
     for alpha in (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2)):
         via_exp = exp_operator(
@@ -247,8 +197,8 @@ def suite_heat(order: int = 12, max_n: int = 10) -> list[Check]:
         x = MultiPoly.var("x")
         for k, c in enumerate(series.coeffs):
             direct = direct + (x ** k) * (c * alpha ** k)
-        out.append(_check("heat", f"C_0({alpha} x) via exp(-{alpha} D_x^-1)",
-                          via_exp, direct))
+        out.append(compare("heat", f"C_0({alpha} x) via exp(-{alpha} D_x^-1)",
+                           via_exp, direct))
     return out
 
 
@@ -260,10 +210,8 @@ def suite_crofton(order: int = DEFAULT_ORDER, max_n: int | None = None) -> list[
     for m in (2, 3):
         for lname, lam in lams.items():
             for k in range(1, 5):
-                chk = crofton_check(m, lam, _Y ** k)
-                out.append(Check(
-                    "crofton", f"m={m} lam={lname} f=y^{k}", chk.passed,
-                    None if chk.passed else f"{chk.lhs} != {chk.rhs}"))
+                out.append(first_failure("crofton", f"m={m} lam={lname} f=y^{k}",
+                                         [crofton_check(m, lam, _Y ** k)]))
     return out
 
 
@@ -272,21 +220,14 @@ def suite_oracle(order: int = DEFAULT_ORDER, max_n: int = 8) -> list[Check]:
     out = []
     for name in ("ghp-vs-explicit", "leghpS-vs-table1", "leghpR-vs-table1",
                  "series-vs-naive-convolution", "lagrange-vs-newton"):
-        results = cross_validate(name, max_n)
-        bad = [r for r in results if not r.equal]
-        out.append(Check(
-            "oracle", f"{name} ({len(results)} comparisons)",
-            not bad,
-            None if not bad else
-            f"{bad[0].description}: {bad[0].lhs} != {bad[0].rhs}"))
+        checks = cross_validate(name, max_n)
+        out.append(first_failure("oracle", f"{name} ({len(checks)} comparisons)",
+                                 checks, lambda c: f"{c.name}: "))
     return out
 
 
 def suite_reductions(order: int = DEFAULT_ORDER, max_n: int = 6) -> list[Check]:
     """Every registered reduction, on a representative sample of pairs."""
-    from .mixed import REDUCTIONS
-    from .pairs import get_pair
-
     out = []
     sample = [get_pair("identity"), get_pair("lower-factorial"),
               get_pair("bernoulli2")]
@@ -295,15 +236,9 @@ def suite_reductions(order: int = DEFAULT_ORDER, max_n: int = 6) -> list[Check]:
             r = recipe.requires_r if recipe.requires_r is not None else (
                 3 if rid == "ex11" else 2)
             fam = MixedFamily(pair, recipe.kind, r, order)
-            ok = True
-            witness = None
-            for n in range(max_n + 1):
-                res = fam.reduce(rid, n)
-                if not res.equal:
-                    ok = False
-                    witness = (f"n={n}: {res.specialized} != {res.target}")
-                    break
-            out.append(Check("reductions", f"{pair.name}/{rid}", ok, witness))
+            out.append(first_failure(
+                "reductions", f"{pair.name}/{rid}",
+                (fam.reduce(rid, n) for n in range(max_n + 1)), _at_n))
     return out
 
 

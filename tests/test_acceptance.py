@@ -83,13 +83,12 @@ def test_criterion_3_monomiality_suite():
     r_missing = []
     for pair in catalog():
         for r in (2, 3):
-            s_report = MixedFamily(pair, "S", r, ORDER).verify_monomiality(8)
-            if s_report.failures():
-                first = s_report.failures()[0]
-                s_failures.append(
-                    f"{pair.name}/S/r={r}: {first.identity} n={first.n}")
-            r_report = MixedFamily(pair, "R", r, ORDER).verify_monomiality(8)
-            seen = {(rec.identity, rec.variant) for rec in r_report.records}
+            s_checks = MixedFamily(pair, "S", r, ORDER).verify_monomiality(8)
+            s_bad = [c for c in s_checks if not c.passed]
+            if s_bad:
+                s_failures.append(f"{pair.name}/S/r={r}: {s_bad[0].name} n={s_bad[0].n}")
+            r_checks = MixedFamily(pair, "R", r, ORDER).verify_monomiality(8)
+            seen = {tuple(c.name.split("/")[:2]) for c in r_checks}
             for ident in ("raising", "lowering", "diffeq", "commutator"):
                 for variant in ("printed", "theta"):
                     if (ident, variant) not in seen:
@@ -104,8 +103,8 @@ def test_criterion_4_special_case_rows():
     bad = []
     for suite in ("leghpS-vs-table1", "leghpR-vs-table1"):
         for res in cross_validate(suite, 8):
-            if not res.equal:
-                bad.append(res.description)
+            if not res.passed:
+                bad.append(res.name)
     _report("4 special-case row reductions vs explicit sums", not bad,
             "rows I-XI, n <= 8" if not bad else str(bad[:3]))
 
@@ -151,8 +150,8 @@ def test_criterion_9_oracle_suites_and_runtime():
     for name in ("ghp-vs-explicit", "leghpS-vs-table1", "leghpR-vs-table1",
                  "series-vs-naive-convolution"):
         for res in cross_validate(name, 8):
-            if not res.equal:
-                bad.append(f"{name}: {res.description}")
+            if not res.passed:
+                bad.append(f"{name}: {res.name}")
     # cold full verification run in a fresh interpreter, timed; its JSON
     # report must also be byte-identical to the pinned one
     t0 = time.time()

@@ -177,6 +177,17 @@ def test_verify_pair_filter_miss_is_usage_error(capsys):
     assert main(["verify", "--suite", "crofton", "--pair", "hahn"]) == 2
 
 
+@pytest.mark.parametrize("pair,code", [("ermite", 2), ("identity", 0)])
+def test_verify_pair_must_name_a_pair(capsys, pair, code):
+    assert main(["verify", "--suite", "reductions", "--pair", pair,
+                 "--max-n", "0"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "unknown pair 'ermite'" in err and "known pairs: " in err and not out
+    else:
+        assert "identity/ex1" in out and "bernoulli2" not in out
+
+
 def test_output_is_byte_identical_across_runs():
     a = run_cli("expand", "--pair", "hahn", "--kind", "S", "--r", "3",
                 "--n", "0..5", "--format", "json")

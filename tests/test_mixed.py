@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from shefferpoly import (
+    REDUCTIONS,
     MixedFamily,
     MultiPoly,
     UnknownReduction,
@@ -18,6 +19,7 @@ from shefferpoly import (
     sheffer_poly,
     theta_operator,
 )
+from shefferpoly.suites import core_checks
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -30,6 +32,12 @@ LOWER_FACT = get_pair("lower-factorial")
 
 def fam(pair=IDENTITY, kind="S", r=2, order=12):
     return MixedFamily(pair, kind, r, order)
+
+
+def passing(checks, name):
+    """Every record of one "{identity}/{variant}/{normalization}" passes."""
+    recs = [c for c in checks if c.name == name]
+    return bool(recs) and all(c.passed for c in recs)
 
 
 # -- members ---------------------------------------------------------------------
@@ -119,32 +127,32 @@ def test_theta_operator_action():
     assert th.apply(ONE).is_zero
 
 
-# -- monomiality reports ----------------------------------------------------------------
+# -- monomiality records ----------------------------------------------------------------
 
 
 def test_monomiality_identity_all_pass():
-    report = fam().verify_monomiality(8)
-    assert report.core_pass
-    assert not report.failures()
+    checks = fam().verify_monomiality(8)
+    assert all(c.passed for c in core_checks("S", checks))
+    assert not [c for c in checks if not c.passed]
 
 
 def test_monomiality_bernoulli2_r3():
-    report = fam(get_pair("bernoulli2"), "S", 3).verify_monomiality(6)
-    assert report.core_pass
+    checks = fam(get_pair("bernoulli2"), "S", 3).verify_monomiality(6)
+    assert all(c.passed for c in core_checks("S", checks))
 
 
 def test_monomiality_max_n_zero():
-    report = fam().verify_monomiality(0)
-    assert report.core_pass
-    raising = [r for r in report.records if r.identity == "raising"]
+    checks = fam().verify_monomiality(0)
+    assert all(c.passed for c in core_checks("S", checks))
+    raising = [c for c in checks if c.name.startswith("raising/")]
     assert len(raising) == 1 and raising[0].n == 0
 
 
 def test_r_kind_report_has_definite_verdicts():
-    report = fam(IDENTITY, "R", 2, 10).verify_monomiality(5)
+    checks = fam(IDENTITY, "R", 2, 10).verify_monomiality(5)
     verdicts = {}
-    for rec in report.records:
-        key = (rec.identity, rec.variant, rec.normalization)
+    for rec in checks:
+        key = tuple(rec.name.split("/"))
         verdicts[key] = verdicts.get(key, True) and rec.passed
     # the theta variant carries the quasi-monomial structure at egf weight
     assert verdicts[("raising", "theta", "egf")]
@@ -155,7 +163,7 @@ def test_r_kind_report_has_definite_verdicts():
     assert not verdicts[("raising", "printed", "egf")]
     assert not verdicts[("lowering", "printed", "egf")]
     # every identity got a recorded verdict for both variants
-    identities = {(r.identity, r.variant) for r in report.records}
+    identities = {tuple(c.name.split("/")[:2]) for c in checks}
     for ident in ("raising", "lowering", "diffeq", "commutator"):
         assert (ident, "printed") in identities
         assert (ident, "theta") in identities
@@ -170,7 +178,7 @@ def test_r_kind_theta_variant_passes_catalog_wide():
     for pair in (catalog()[0], get_pair("pidduck"), get_pair("bessel")):
         rep = MixedFamily(pair, "R", 2, 9).verify_monomiality(4)
         for ident in ("raising", "lowering", "diffeq", "commutator"):
-            assert rep.passing(ident, "theta", "egf"), (pair.name, ident)
+            assert passing(rep, f"{ident}/theta/egf"), (pair.name, ident)
 
 
 def test_r_rows_fail_when_theta_loses_its_sign(monkeypatch):
@@ -184,8 +192,8 @@ def test_r_rows_fail_when_theta_loses_its_sign(monkeypatch):
                         lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
     rep = fam(LOWER_FACT, "R", 2, 4).verify_monomiality(1)
     for ident in ("raising", "lowering", "diffeq", "commutator"):
-        assert not rep.passing(ident, "theta", "egf"), ident
-    assert not rep.core_pass
+        assert not passing(rep, f"{ident}/theta/egf"), ident
+    assert not all(c.passed for c in core_checks("R", rep))
     rows = suite_monomiality(order=4, max_n=1)
     r_rows = [c for c in rows if "R-kind" in c.name]
     s_rows = [c for c in rows if "S-kind" in c.name]
@@ -193,20 +201,11 @@ def test_r_rows_fail_when_theta_loses_its_sign(monkeypatch):
     assert len(s_rows) == 28 and all(c.passed for c in s_rows)
 
 
-def test_report_json_round_trip():
-    import json
-
-    report = fam().verify_monomiality(2)
-    data = json.loads(report.to_json())
-    assert data["pair"] == "identity"
-    assert data["core_pass"] is True
-    assert len(data["checks"]) == len(report.records)
-
-
 def test_monomiality_is_reproducible():
     a = fam(LOWER_FACT).verify_monomiality(4)
     b = fam(LOWER_FACT).verify_monomiality(4)
-    assert a.to_json() == b.to_json()
+    assert a == b
+    assert [c.to_json_dict() for c in a] == [c.to_json_dict() for c in b]
 
 
 # -- explicit representation ------------------------------------------------------------
@@ -232,7 +231,7 @@ def test_explicit_rep_equals_member_over_A0():
 
 
 def test_operational_identity_pair_n2():
-    recs = {r.identity: r for r in fam().operational_rep_check(2)}
+    recs = {r.name: r for r in fam().operational_rep_check(2)}
     assert recs["sheffer-lift"].passed
     assert recs["z-restoration"].passed
 
@@ -244,14 +243,14 @@ def test_operational_n0_trivial():
 
 def test_operational_lower_factorial_r3():
     f = fam(LOWER_FACT, "S", 3)
-    recs = {r.identity: r for r in f.operational_rep_check(4)}
+    recs = {r.name: r for r in f.operational_rep_check(4)}
     assert recs["sheffer-lift"].passed
     assert recs["z-restoration"].passed
 
 
 def test_operational_r_kind_records_nonevaluable():
     recs = fam(IDENTITY, "R", 2).operational_rep_check(2)
-    assert recs[0].identity == "vacuum-lift-printed"
+    assert recs[0].name == "vacuum-lift-printed"
     assert not recs[0].passed
     assert "not evaluable" in recs[0].witness
 
@@ -290,20 +289,18 @@ def test_integral_rep_detects_a_dropped_term(monkeypatch):
 
 
 def test_reduce_hermite_case():
-    res = fam().reduce("ex8", 3)
-    assert res.equal
-    assert res.specialized == Y ** 3 + 6 * Y * Z
+    assert fam().reduce("ex8", 3).passed
+    assert REDUCTIONS["ex8"].specialize(fam(), 3) == Y ** 3 + 6 * Y * Z
 
 
 def test_reduce_trivial_n0():
-    res = fam().reduce("ex2", 0)
-    assert res.equal and res.specialized == ONE
+    assert fam().reduce("ex2", 0).passed
+    assert REDUCTIONS["ex2"].specialize(fam(), 0) == ONE
 
 
 def test_reduce_legendre_P2():
-    res = fam().reduce("ex10", 2)
-    assert res.equal
-    assert res.specialized == F(3, 2) * X ** 2 - F(1, 2)
+    assert fam().reduce("ex10", 2).passed
+    assert REDUCTIONS["ex10"].specialize(fam(), 2) == F(3, 2) * X ** 2 - F(1, 2)
 
 
 def test_reduce_unknown_id():
@@ -331,7 +328,7 @@ def test_reduce_r_mismatch():
 def test_reductions_hold_for_poisson_charlier(rid, kind, r):
     f = fam(get_pair("poisson-charlier"), kind, r)
     for n in range(6):
-        assert f.reduce(rid, n).equal
+        assert f.reduce(rid, n).passed
 
 
 # -- generating-function consistency through the operator route -----------------------------------
@@ -389,8 +386,9 @@ def test_member_degree_bound():
 def test_monomiality_holds_for_nondefault_parameters(name, params):
     pair = get_pair(name, params)
     for r in (1, 2):
-        report = MixedFamily(pair, "S", r, 8).verify_monomiality(4)
-        assert not report.failures(), report.failures()[0]
+        failures = [c for c in MixedFamily(pair, "S", r, 8).verify_monomiality(4)
+                    if not c.passed]
+        assert not failures, failures[0]
 
 
 def test_inexact_rational_root_raises():
@@ -438,7 +436,7 @@ def test_printed_r_route_row_fails_once_the_route_is_evaluable(monkeypatch):
     from shefferpoly import mixed, suites
 
     def row():
-        rows = [c for c in suites.suite_operational(order=6, max_n=0, rs=(2,))
+        rows = [c for c in suites.suite_operational(order=6, max_n=0)
                 if c.name == "R-kind printed route (recorded verdict)"]
         assert len(rows) == 1
         return rows[0]

@@ -46,6 +46,13 @@ def test_scalar_interop():
     assert MultiPoly.const(F(3, 2)) == F(3, 2)
 
 
+@pytest.mark.parametrize("c", [0, 3, F(-2, 3)], ids=["zero", "int", "fraction"])
+def test_constant_hashes_as_its_scalar(c):
+    p = MultiPoly.const(c)
+    assert p == c and hash(p) == hash(c) == hash(F(c))
+    assert len({p, c}) == 1 and {p: "poly"}[c] == "poly"
+
+
 @settings(max_examples=60)
 @given(small_polys(), small_polys(), small_polys())
 def test_ring_axioms(p, q, r):
