@@ -29,12 +29,13 @@ divide once.  The closed finite sums and the naive convolution in the
 oracle module share neither the matrix nor the factor expansion, so they
 remain a genuinely independent route.
 
-The phi_k are polynomials in the package's one representation, integer
-numerators over one denominator, and a member is one integer linear
-combination of them (``multipoly.lincomb``) against the Fraction entries of
-the matrix, with the weight folded into each entry.  The matrix stays a
-``Series`` of Fractions.  The phi_k of one Phi are computed once per
-truncation order and kept in ``pairs._MEMO``; any n <= order reads its
+The matrix is a tuple of its columns A*H^k, each an immutable ``Series``:
+integer numerators over one denominator.  The phi_k are polynomials in the
+same representation, and a member is one integer linear combination of
+them (``multipoly.lincomb``) against the numerators and denominators of
+the matrix entries, with the weight folded into each entry; no
+``Fraction`` is built on the way.  The phi_k of one Phi are computed once
+per truncation order and kept in ``pairs._MEMO``; any n <= order reads its
 phi_0..phi_n from that one list.
 """
 
@@ -125,7 +126,7 @@ def phi_coefficients(factors, order: int) -> list[MultiPoly]:
                    for d1, p1 in acc if d1 + d2 <= order]
         by_degree = [[] for _ in range(order + 1)]
         for deg, poly in acc:
-            by_degree[deg].append((1, poly))
+            by_degree[deg].append((1, 1, poly))
         return tuple(lincomb(parts) for parts in by_degree)
 
     return list(memo(("phi", tuple(factors), order), make))
@@ -134,24 +135,28 @@ def phi_coefficients(factors, order: int) -> list[MultiPoly]:
 # -- the Sheffer matrix and the families read from it ---------------------------
 
 
-def sheffer_matrix(pair, order: int) -> list[list[Fraction]]:
-    """Column k holds [t^n] A(t) H(t)^k for n = 0..order, k = 0..order."""
+def sheffer_matrix(pair, order: int) -> tuple[Series, ...]:
+    """The columns A(t) H(t)^k, k = 0..order: entry (n, k) of the matrix is
+    [t^n] of column k."""
     def make():
         # inverting f needs its linear term, so order 0 reads an order-1 pair
         res = pair.resolved(max(order, 1))
         col = res.A
-        cols = [col.coeffs]
+        cols = [col]
         for _ in range(order):
             col = col * res.H
-            cols.append(col.coeffs)
-        return cols
+            cols.append(col)
+        return tuple(cols)
 
     return memo(("matrix", pair.name, pair.params, order), make)
 
 
-def _coefficient(cols, phi: list[MultiPoly], n: int, weight: int | Fraction) -> MultiPoly:
+def _coefficient(cols: tuple[Series, ...], phi: list[MultiPoly], n: int,
+                 weight: int | Fraction) -> MultiPoly:
     """weight * sum_k phi_k [t^n] A H^k."""
-    return lincomb((cols[k][n] * weight, phi[k]) for k in range(n + 1))
+    wa, wb = weight.numerator, weight.denominator
+    return lincomb((col._nums[n] * wa, col._den * wb, phi[k])
+                   for k, col in enumerate(cols[: n + 1]))
 
 
 def expand(pair, factors, order: int, power: int = 0) -> tuple[MultiPoly, ...]:
@@ -273,14 +278,11 @@ def umbral_pairing(h: Series, p: MultiPoly) -> Fraction:
     """
     if p.depends_on("y") or p.depends_on("z"):
         raise ValueError("the umbral pairing is defined for polynomials in x only")
-    total = Fraction(0)
+    hs, pnums = h._nums, p._nums
+    total = 0
     fact = 1
     for k in range(min(h.order, p.degree_in("x") if not p.is_zero else 0) + 1):
         if k:
             fact *= k
-        hk = h.coeffs[k]
-        if hk:
-            c = p.coeff((k, 0, 0))
-            if c:
-                total += hk * fact * c
-    return total
+        total += hs[k] * fact * pnums.get((k, 0, 0), 0)
+    return Fraction(total, h._den * p._den)

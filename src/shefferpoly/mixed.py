@@ -339,7 +339,6 @@ class _Reduction:
     kind: str
     specialize: object
     phi: object
-    note: str
     requires_r: int | None = None
 
 
@@ -352,23 +351,22 @@ def _moment_scale_xy(p: MultiPoly) -> MultiPoly:
 def _make_reductions() -> dict[str, _Reduction]:
     R: dict[str, _Reduction] = {}
 
-    # Gould-Hopper based members: x = 0
+    # x = 0: Gould-Hopper based member in (y, z)
     R["ex1"] = _Reduction(
         "S",
         lambda fam, n: fam.member(n).substitute({"x": 0}),
         lambda r: (exp_factor(_Y), exp_factor(_Z, r)),
-        "x = 0: Gould-Hopper based member in (y, z)",
     )
 
-    # Legendre-type members: z = 0
+    # z = 0: two-variable Legendre-type based member
     R["ex2"] = _Reduction(
         "S",
         lambda fam, n: fam.member(n).substitute({"z": 0}),
         lambda r: (c0_compose(-_X, 2), exp_factor(_Y)),
-        "z = 0: two-variable Legendre-type based member",
     )
 
-    # generalized Laguerre-type: x = 0, y -> -D_x^(-1), z -> y (r plays m)
+    # x = 0, y -> -D_x^(-1){1}, z -> y: generalized Laguerre-type based
+    # member (r plays m)
     R["ex3"] = _Reduction(
         "S",
         lambda fam, n: substitute_operators(
@@ -376,21 +374,19 @@ def _make_reductions() -> dict[str, _Reduction]:
             {"y": compose(scale(-1), inv_deriv("x")), "z": _Y},
         ),
         lambda r: (c0_compose(_X), exp_factor(_Y, r)),
-        "x = 0, y -> -D_x^(-1){1}, z -> y: generalized Laguerre-type based member",
     )
 
-    # generalized Chebyshev: Gamma-moment bridge (see notes in docstring)
+    # x = 0, y -> s*x, z -> s*y, then the moment rule s^k -> k!: generalized
+    # Chebyshev based member (ordinary generating weight)
     R["ex4"] = _Reduction(
         "S",
         lambda fam, n: _moment_scale_xy(
             fam.member(n).substitute({"x": 0}).substitute({"y": _X, "z": _Y})
         ),
         lambda r: (geometric((_X, 1), (_Y, r)),),
-        "x = 0, y -> s*x, z -> s*y then the moment rule s^k -> k!: "
-        "generalized Chebyshev based member (ordinary generating weight)",
     )
 
-    # two-variable Laguerre: r = 1, x = 0, z -> -D_x^(-1)
+    # r = 1, x = 0, z -> -D_x^(-1){1}: two-variable Laguerre based member
     R["ex5"] = _Reduction(
         "S",
         lambda fam, n: substitute_operators(
@@ -398,19 +394,18 @@ def _make_reductions() -> dict[str, _Reduction]:
             {"z": compose(scale(-1), inv_deriv("x"))},
         ),
         lambda r: (c0_compose(_X), exp_factor(_Y)),
-        "r = 1, x = 0, z -> -D_x^(-1){1}: two-variable Laguerre based member",
         requires_r=1,
     )
 
-    # two-variable Legendre (R-kind): z = 0
+    # z = 0: two-variable Legendre based member (R-kind, stored (n!)^2 weight)
     R["ex6"] = _Reduction(
         "R",
         lambda fam, n: fam.member(n).substitute({"z": 0}),
         lambda r: (c0_compose(_X), c0_compose(-_Y)),
-        "z = 0: two-variable Legendre based member (stored (n!)^2 weight)",
     )
 
-    # truncated-exponential: x = 0, y -> x, z -> y D_y y
+    # x = 0, y -> x, z -> (y d/dy y)^k{1} = k! y^k: truncated-exponential
+    # based member
     R["ex7"] = _Reduction(
         "S",
         lambda fam, n: substitute_operators(
@@ -418,19 +413,17 @@ def _make_reductions() -> dict[str, _Reduction]:
             {"y": _X, "z": compose(mul_var("y"), deriv("y"), mul_var("y"))},
         ),
         lambda r: (exp_factor(_X), geometric((_Y, r))),
-        "x = 0, y -> x, z -> (y d/dy y)^k{1} = k! y^k: truncated-exponential based member",
     )
 
-    # Hermite (Kampe de Feriet): r = 2, x = 0
+    # r = 2, x = 0: two-variable Hermite (Kampe de Feriet) based member
     R["ex8"] = _Reduction(
         "S",
         lambda fam, n: fam.member(n).substitute({"x": 0}),
         lambda r: (exp_factor(_Y), exp_factor(_Z, 2)),
-        "r = 2, x = 0: two-variable Hermite based member",
         requires_r=2,
     )
 
-    # Hermite-type G_n: r = 2, x = 0, y -> D_x^(-1), z -> y
+    # r = 2, x = 0, y -> D_x^(-1){1}, z -> y: Hermite-type G_n based member
     R["ex9"] = _Reduction(
         "S",
         lambda fam, n: substitute_operators(
@@ -438,11 +431,10 @@ def _make_reductions() -> dict[str, _Reduction]:
             {"y": inv_deriv("x"), "z": _Y},
         ),
         lambda r: (c0_compose(-_X), exp_factor(_Y, 2)),
-        "r = 2, x = 0, y -> D_x^(-1){1}, z -> y: Hermite-type based member",
         requires_r=2,
     )
 
-    # Legendre P_n: x -> (x^2-1)/4, y -> x, z = 0
+    # x -> (x^2-1)/4, y -> x, z = 0: Legendre P_n based member
     quarter = Fraction(1, 4)
     R["ex10"] = _Reduction(
         "S",
@@ -450,10 +442,10 @@ def _make_reductions() -> dict[str, _Reduction]:
             {"x": (_X * _X - 1) * quarter, "y": _X, "z": 0}
         ),
         lambda r: (c0_compose(-((_X * _X - 1) * quarter), 2), exp_factor(_X)),
-        "x -> (x^2-1)/4, y -> x, z = 0: Legendre based member",
     )
 
-    # Bell-type: r = 3, x -> z D_z z, y -> x, z -> y
+    # r = 3, x -> (z d/dz z)^k{1} = k! z^k, y -> x, z -> y: Bell-type based
+    # member
     R["ex11"] = _Reduction(
         "S",
         lambda fam, n: substitute_operators(
@@ -461,36 +453,36 @@ def _make_reductions() -> dict[str, _Reduction]:
             {"x": compose(mul_var("z"), deriv("z"), mul_var("z")), "y": _X, "z": _Y},
         ),
         lambda r: (exp_factor(_X), exp_factor(_Y, 3), exp_factor(_Z, 2)),
-        "r = 3, x -> (z d/dz z)^k{1} = k! z^k, y -> x, z -> y: Bell-type based member",
         requires_r=3,
     )
 
-    # R-kind variants of the Laguerre-type / Laguerre / Hermite-type / Legendre rows
+    # R-kind variants of the Laguerre-type / Laguerre / Hermite-type / Legendre
+    # rows.  y = 0, z -> y, x -> -x: generalized Laguerre-type based member
+    # (sign fixed so the Laguerre argument matches its series definition)
     R["ex3r"] = _Reduction(
         "R",
         lambda fam, n: fam.member(n)
         .substitute({"y": 0})
         .substitute({"z": _Y, "x": -_X}),
         lambda r: (c0_compose(-_X), exp_factor(_Y, r)),
-        "y = 0, z -> y, x -> -x: generalized Laguerre-type based member "
-        "(sign fixed so the Laguerre argument matches its series definition)",
     )
+    # r = 1, y = 0, z -> y: two-variable Laguerre based member
     R["ex5r"] = _Reduction(
         "R",
         lambda fam, n: fam.member(n).substitute({"y": 0}).substitute({"z": _Y}),
         lambda r: (c0_compose(_X), exp_factor(_Y)),
-        "r = 1, y = 0, z -> y: two-variable Laguerre based member",
         requires_r=1,
     )
+    # r = 2, x = 0, y -> x, z -> y: Hermite-type based member
     R["ex9r"] = _Reduction(
         "R",
         lambda fam, n: fam.member(n)
         .substitute({"x": 0})
         .substitute({"y": _X, "z": _Y}),
         lambda r: (c0_compose(-_X), exp_factor(_Y, 2)),
-        "r = 2, x = 0, y -> x, z -> y: Hermite-type based member",
         requires_r=2,
     )
+    # r = 1, x -> (1-x)/2, y -> (1+x)/2, z = 0: Legendre based member
     half = Fraction(1, 2)
     R["ex10r"] = _Reduction(
         "R",
@@ -499,7 +491,6 @@ def _make_reductions() -> dict[str, _Reduction]:
         ),
         lambda r: (c0_compose((MultiPoly.const(1) - _X) * half),
                    c0_compose(-((_X + 1) * half))),
-        "r = 1, x -> (1-x)/2, y -> (1+x)/2, z = 0: Legendre based member",
         requires_r=1,
     )
     return R

@@ -336,15 +336,16 @@ class MultiPoly:
         return f"MultiPoly({poly_str(self)})"
 
 
-def lincomb(pairs: Iterable[tuple[Scalar, MultiPoly]]) -> MultiPoly:
-    """sum c * p over (c, p) pairs, in integers over one common denominator."""
+def lincomb(parts: Iterable[tuple[int, int, MultiPoly]]) -> MultiPoly:
+    """sum (a/b) * p over (a, b, p) triples with integers a and b > 0, the
+    ratio not necessarily reduced, in integers over one common denominator."""
     scaled = []
     common = 1
-    for c, p in pairs:
-        if c and p._nums:
-            d = c.denominator * p._den
+    for a, b, p in parts:
+        if a and p._nums:
+            d = b * p._den
             common = lcm(common, d)
-            scaled.append((c.numerator, d, p._nums))
+            scaled.append((a, d, p._nums))
     acc: dict[Exponent, int] = {}
     for a, d, nums in scaled:
         m = a * (common // d)

@@ -413,7 +413,9 @@ class OpSeries(LinOp):
     of one monomial e sums h_k B^k e until the power vanishes (or through
     the explicit cutoff).  Over a weighted-shift base each B^k e is one
     monomial W_k(e) x^(e + k delta), read step by step from B's memo; over
-    any other base each power is B applied to the previous one.
+    any other base each power is B applied to the previous one.  The h_k
+    are read as the series stores them, integer numerators over its one
+    denominator, so every term of an image is an integer ratio.
     """
 
     def __init__(self, series: Series, base: LinOp, cutoff: int | None = None):
@@ -421,7 +423,9 @@ class OpSeries(LinOp):
         self.base = base
         self.cutoff = cutoff
         self._base_deltas = base.deltas()
-        self._hs = series.coeffs if cutoff is None else series.coeffs[: cutoff + 1]
+        # h_k = _hs[k] / _hden
+        self._hs = series._nums if cutoff is None else series._nums[: cutoff + 1]
+        self._hden = series._den
 
     def _cutoff_for(self, exps: Collection[Exponent]) -> int:
         if self.cutoff is not None:
@@ -444,9 +448,8 @@ class OpSeries(LinOp):
         return super()._act(terms, den)
 
     def _image(self, e: Exponent) -> Num:
-        base, hs = self.base, self._hs
-        h = hs[0]
-        parts = [(e, h.numerator, h.denominator)]
+        base, hs, hden = self.base, self._hs, self._hden
+        parts = [(e, hs[0], hden)]
         if base.shift:
             a = b = 1
             for h in hs[1:]:
@@ -456,14 +459,14 @@ class OpSeries(LinOp):
                 e, sa, sb = s
                 a *= sa
                 b *= sb
-                parts.append((e, h.numerator * a, h.denominator * b))
+                parts.append((e, h * a, hden * b))
         else:
             t, d = {e: 1}, 1
             for h in hs[1:]:
                 t, d = base._act(t, d)
                 if not t:
                     break
-                parts += [(e2, h.numerator * n, h.denominator * d) for e2, n in t.items()]
+                parts += [(e2, h * n, hden * d) for e2, n in t.items()]
         return _collect(parts)
 
     def deltas(self) -> Deltas:

@@ -449,10 +449,11 @@ def _suite_lagrange_vs_newton(max_n: int) -> list[Check]:
     for pair in catalog():
         res = pair.resolved(order)
         lag = lagrange_inverse(res.f.coeffs, order)
+        newton = res.H.coeffs
         for n in range(max_n + 1):
             out.append(_compare(
                 f"compositional inverse of {pair.name} f: [t^{n}]",
-                MultiPoly.const(res.H.coeffs[n]),
+                MultiPoly.const(newton[n]),
                 MultiPoly.const(lag[n]),
             ))
     return out

@@ -54,6 +54,10 @@ Params = dict[str, Fraction]
 # a little margin so internal divisions by t keep full precision
 _MARGIN = 2
 
+# the largest exact constant power a builder computes, in bits: beyond it a
+# parameter such as peters' mu = 10^30 would run without bound
+_MAX_POWER_BITS = 1 << 20
+
 # the package's one memo: every derived value (resolved pairs, Sheffer
 # matrices, family members) is computed once per process and shared
 _MEMO: dict = {}
@@ -114,16 +118,20 @@ def _pow_const(series: Series, q: Fraction) -> Series:
     The constant term's q-th power must be an exact rational, otherwise the
     result would leave the rationals.
     """
-    c0 = Fraction(series.coeffs[0])
+    c0 = series.coefficient(0)
     root = _fraction_pow(c0, q)
     return (series / c0).pow_fraction(q) * root
 
 
 def _fraction_pow(c: Fraction, q: Fraction) -> Fraction:
-    """Exact c**q, raising when no rational value exists."""
+    """Exact c**q, raising when no rational value exists or when c**num
+    would have more than ``_MAX_POWER_BITS`` bits."""
     if c <= 0:
         raise ValueError(f"cannot take rational power of non-positive constant {c}")
     num, den = q.numerator, q.denominator
+    size = abs(num) * max(c.numerator.bit_length(), c.denominator.bit_length())
+    if c != 1 and size > _MAX_POWER_BITS:
+        raise ValueError(f"{c}^({q}) is too large to compute exactly")
     base = c ** num  # Fraction handles negative integer exponents exactly
     if den == 1:
         return base
@@ -135,6 +143,10 @@ def _fraction_pow(c: Fraction, q: Fraction) -> Fraction:
 
 def _iroot(n: int, k: int) -> int | None:
     """The integer k-th root of n > 0, or None when n is not a k-th power."""
+    if k >= n.bit_length():
+        # n < 2^k, so a root is below 2; this also keeps a huge k away from
+        # the Newton step's r ** (k - 1)
+        return 1 if n == 1 else None
     if k == 2:
         r = math.isqrt(n)
     else:

@@ -9,20 +9,33 @@ exact through the result's order and truncation is the only
 "approximation" anywhere: combining series of different orders truncates
 to the smaller one.
 
+A series is stored the way a ``MultiPoly`` is: the integer numerators of
+t^0 .. t^N over one positive denominator, in two private slots.  The pair
+is always reduced, gcd(denominator, *numerators) == 1, and zero is all-zero
+numerators over 1, so equal series have equal fields; equality, hashing
+and rendering read the fields.  Every operation runs in integers, and a
+``fractions.Fraction`` is built only where a coefficient is asked for
+(``coefficient``, ``coeffs``) or rendered.  Values are immutable: the
+fields are set once, and ``coeffs`` returns a fresh list on every read, so
+a series kept in a cache cannot be changed by a caller.
+
 Supported calculus: Cauchy product, integer powers, reciprocal of a unit
 series, exp of a series with zero constant term, log of a series with unit
 constant term, rational powers of a unit series, composition with a series
 of zero constant term, derivative, and compositional inverse of a delta
 series (zero constant term, nonzero linear term).  The compositional
 inverse uses Newton iteration built from the same product, reciprocal and
-composition, doubling the working precision each step; an independent
-Lagrange-inversion implementation lives in the oracle module so the two
-can cross-check each other.
+composition, doubling the working precision each step (Brent and Kung,
+"Fast algorithms for manipulating formal power series", 1978); an
+independent Lagrange-inversion implementation lives in the oracle module so
+the two can cross-check each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -54,17 +67,38 @@ class NonScalarCoefficient(SeriesError, TypeError):
     """Series coefficients must be exact rationals (int or Fraction)."""
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _scalar(c) -> Fraction:
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction coefficient."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator, c.denominator
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c), 1
     raise NonScalarCoefficient(
         f"series coefficients must be rationals, not {type(c).__name__}")
+
+
+def _wrap(nums: tuple[int, ...], den: int) -> "Series":
+    """The series with the given (already reduced) fields, not copied."""
+    s = object.__new__(Series)
+    s._nums = nums
+    s._den = den
+    return s
+
+
+def _make(nums: Sequence[int], den: int) -> "Series":
+    """The series nums/den with the gcd divided out; den must be positive."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return _wrap(tuple([n // g for n in nums]), den // g)
+    return _wrap(tuple(nums), den)
+
+
+def _product(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
+    """The first ``size`` coefficients of the Cauchy product a*b; b has at
+    least ``size`` entries, a may be shorter."""
+    rb = b[size - 1::-1]
+    return [sum(map(mul, a, rb[size - 1 - m:])) for m in range(size)]
 
 
 class Series:
@@ -79,20 +113,20 @@ class Series:
     True
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
-        coeffs = [_scalar(c) for c in coeffs]
+        ratios = [_ratio(c) for c in coeffs]
         if order is None:
-            order = len(coeffs) - 1 if coeffs else 0
+            order = len(ratios) - 1 if ratios else 0
         if order < 0:
             raise ValueError("order must be >= 0")
-        if len(coeffs) < order + 1:
-            coeffs.extend([ZERO] * (order + 1 - len(coeffs)))
-        else:
-            coeffs = coeffs[: order + 1]
-        self.order = order
-        self.coeffs = coeffs
+        del ratios[order + 1:]
+        den = lcm(*[b for _, b in ratios])
+        nums = [a * (den // b) for a, b in ratios]
+        nums += [0] * (order + 1 - len(nums))
+        s = _make(nums, den)
+        self._nums, self._den = s._nums, s._den
 
     # -- constructors --------------------------------------------------------
 
@@ -106,61 +140,83 @@ class Series:
 
     @classmethod
     def t(cls, order: int) -> "Series":
-        return cls([ZERO, ONE], order)
+        return cls([0, 1], order)
 
     @classmethod
     def monomial(cls, c, k: int, order: int) -> "Series":
         """c * t^k."""
-        coeffs = [ZERO] * (order + 1)
+        if k < 0:
+            raise ValueError(f"monomial power must be >= 0, got {k}")
+        coeffs = [0] * (order + 1)
         if k <= order:
             coeffs[k] = c
         return cls(coeffs, order)
 
     # -- basic queries ---------------------------------------------------------
 
-    def coefficient(self, n: int):
+    @property
+    def order(self) -> int:
+        return len(self._nums) - 1
+
+    @property
+    def coeffs(self) -> list[Fraction]:
+        """A fresh list of the coefficients of t^0 .. t^order."""
+        den = self._den
+        return [Fraction(n, den) for n in self._nums]
+
+    def coefficient(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError(f"coefficient index must be >= 0, got {n}")
         if n > self.order:
             raise OrderTooSmall(f"coefficient t^{n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self._nums[n], self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._nums)
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; order+1 if all vanish."""
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, n in enumerate(self._nums):
+            if n:
                 return i
-        return self.order + 1
+        return len(self._nums)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise OrderTooSmall(f"cannot extend order {self.order} to {order}")
-        return Series(self.coeffs[: order + 1], order)
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        return _make(self._nums[: order + 1], self._den)
+
+    def _padded(self, order: int) -> "Series":
+        """The same coefficients, with zeros through t^order (order >= self.order)."""
+        return _wrap(self._nums + (0,) * (order - self.order), self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.order, tuple(str(c) for c in self.coeffs)))
+        return hash((self._nums, self._den))
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other) -> "Series":
         if not isinstance(other, Series):
             other = Series.constant(other, self.order)
-        n = min(self.order, other.order)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
+        da, db = self._den, other._den
+        if da == db:
+            return _make([a + b for a, b in zip(self._nums, other._nums)], da)
+        den = lcm(da, db)
+        ma, mb = den // da, den // db
+        return _make([a * ma + b * mb for a, b in zip(self._nums, other._nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs], self.order)
+        return _wrap(tuple([-n for n in self._nums]), self._den)
 
     def __sub__(self, other) -> "Series":
         if not isinstance(other, Series):
@@ -170,32 +226,40 @@ class Series:
     def __rsub__(self, other) -> "Series":
         return Series.constant(other, self.order) + (-self)
 
+    def _scaled(self, a: int, b: int) -> "Series":
+        """self * a/b for a reduced ratio with b > 0."""
+        nums, den = self._nums, self._den
+        if not a:
+            return _wrap((0,) * len(nums), 1)
+        g = gcd(a, den)
+        if g != 1:
+            a //= g
+            den //= g
+        if b != 1:
+            g = gcd(b, *nums)
+            if g != 1:
+                b //= g
+                nums = tuple([n // g for n in nums])
+        if a != 1:
+            nums = tuple([n * a for n in nums])
+        return _wrap(nums, den * b)
+
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Series.zero(self.order)
-            return Series([c * other for c in self.coeffs], self.order)
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        out = []
-        a, b = self.coeffs, other.coeffs
-        for k in range(n + 1):
-            acc = ZERO
-            for i in range(k + 1):
-                ai = a[i]
-                bj = b[k - i]
-                if ai and bj:
-                    acc += ai * bj
-            out.append(acc)
-        return Series(out, n)
+        size = min(len(self._nums), len(other._nums))
+        return _make(_product(self._nums, other._nums, size), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            inv = ONE / Fraction(other)
-            return Series([c * inv for c in self.coeffs], self.order)
+            a, b = other.numerator, other.denominator
+            if not a:
+                raise ZeroDivisionError("series division by zero")
+            return self._scaled(b, a) if a > 0 else self._scaled(-b, -a)
         if isinstance(other, Series):
             return self * other.reciprocal()
         return NotImplemented
@@ -203,7 +267,7 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = Series.constant(ONE, self.order)
+        result = Series.constant(1, self.order)
         square = self
         while n:
             if n & 1:
@@ -217,52 +281,57 @@ class Series:
 
     def derivative(self) -> "Series":
         """Formal d/dt; the result has order one less."""
-        if self.order == 0:
+        nums = self._nums
+        if len(nums) == 1:
             return Series.zero(0)
-        return Series(
-            [(k + 1) * self.coeffs[k + 1] for k in range(self.order)],
-            self.order - 1,
-        )
+        return _make([k * nums[k] for k in range(1, len(nums))], self._den)
 
     def integrate(self) -> "Series":
         """Formal antiderivative with zero constant term; order one more."""
-        out = [ZERO] + [self.coeffs[k] / (k + 1) for k in range(self.order + 1)]
-        return Series(out, self.order + 1)
+        scale = lcm(*range(1, len(self._nums) + 1))
+        out = [0] + [n * (scale // k) for k, n in enumerate(self._nums, 1)]
+        return _make(out, self._den * scale)
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse of a series with nonzero constant term."""
-        c0 = self.coeffs[0]
-        if not c0:
+        nums = self._nums
+        a0 = nums[0]
+        if not a0:
             raise ZeroConstantTerm("reciprocal of a series with zero constant term")
-        inv0 = ONE / c0
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if ak:
-                    acc += ak * out[n - k]
-            out.append(-inv0 * acc)
-        return Series(out, self.order)
+        N = len(nums) - 1
+        # for a = A/d, 1/a = d/A, and B_n = a0^(n+1) [t^n] 1/A are integers
+        # with B_0 = 1 and B_n = -sum_(k=1..n) A_k a0^(k-1) B_(n-k)
+        powers = [a0 ** k for k in range(N + 2)]
+        c = [nums[k] * powers[k - 1] for k in range(1, N + 1)]
+        B = [1]
+        for n in range(1, N + 1):
+            B.append(-sum(map(mul, c, reversed(B))))
+        d = self._den
+        out = [d * b * powers[N - n] for n, b in enumerate(B)]
+        den = powers[N + 1]
+        if den < 0:
+            out, den = [-v for v in out], -den
+        return _make(out, den)
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term."""
-        if self.coeffs[0]:
+        nums = self._nums
+        if nums[0]:
             raise NonzeroConstantTerm("exp needs a zero constant term")
-        # (exp a)' = a' * exp a  gives the coefficient recurrence
-        out = [ONE]
-        for n in range(self.order):
-            acc = ZERO
-            for k in range(n + 1):
-                ak1 = self.coeffs[k + 1]
-                if ak1 and out[n - k]:
-                    acc += (k + 1) * ak1 * out[n - k]
-            out.append(acc / (n + 1))
-        return Series(out, self.order)
+        N, d = len(nums) - 1, self._den
+        # (exp a)' = a' exp a gives n e_n = sum_(k=1..n) k a_k e_(n-k); for
+        # a = A/d the E_n = N! d^n e_n are integers with
+        # n E_n = sum_(k=1..n) k A_k d^(k-1) E_(n-k), E_0 = N!
+        powers = [d ** k for k in range(N + 1)]
+        c = [k * nums[k] * powers[k - 1] for k in range(1, N + 1)]
+        E = [factorial(N)]
+        for n in range(1, N + 1):
+            E.append(sum(map(mul, c, reversed(E))) // n)
+        return _make([e * powers[N - n] for n, e in enumerate(E)], powers[N] * E[0])
 
     def log(self) -> "Series":
         """log of a series with constant term exactly 1."""
-        if self.coeffs[0] != 1:
+        if self._nums[0] != self._den:
             raise ConstantTermNotOne("log needs constant term 1")
         q = self.derivative() * self.reciprocal()
         return q.integrate().truncate(self.order)
@@ -270,7 +339,7 @@ class Series:
     def pow_fraction(self, q: Fraction) -> "Series":
         """Raise a series with constant term 1 to an arbitrary rational power."""
         q = Fraction(q)
-        if self.coeffs[0] != 1:
+        if self._nums[0] != self._den:
             raise ConstantTermNotOne("rational powers need constant term 1")
         return (self.log() * q).exp()
 
@@ -279,23 +348,32 @@ class Series:
 
     def compose(self, inner: "Series") -> "Series":
         """Evaluate this series at another one with zero constant term."""
-        if inner.coeffs[0]:
+        inums = inner._nums
+        if inums[0]:
             raise NonzeroConstantTerm("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        result = Series.constant(self.coeffs[n], n)
+        c, e = self._nums, inner._den
+        powers = [e ** k for k in range(n + 1)]
+        # sum_k c_k (I/e)^k = (sum_k c_k e^(n-k) I^k) / e^n, by Horner's rule
+        # in integers.  After c_k is added the partial sum is multiplied by
+        # I, of valuation >= 1, k more times, so only its first n - k + 1
+        # coefficients can reach t^n.
+        acc = [c[n]]
         for k in range(n - 1, -1, -1):
-            result = result * inner + Series.constant(self.coeffs[k], n)
-        return result
+            acc = _product(acc, inums, n - k + 1)
+            acc[0] = c[k] * powers[n - k]
+        return _make(acc, self._den * powers[n])
 
     def divided_by_t(self, k: int = 1) -> "Series":
         """Divide by t^k; the first k coefficients must vanish.  Order drops by k."""
+        if k < 0:
+            raise ValueError(f"power of t must be >= 0, got {k}")
         if self.order < k:
             raise OrderTooSmall(f"cannot divide order-{self.order} series by t^{k}")
         for i in range(k):
-            if self.coeffs[i]:
+            if self._nums[i]:
                 raise SeriesError(f"t^{i} coefficient is nonzero; not divisible by t^{k}")
-        return Series(self.coeffs[k:], self.order - k)
+        return _make(self._nums[k:], self._den)
 
     def compositional_inverse(self) -> "Series":
         """Inverse under composition of a delta series.
@@ -308,21 +386,21 @@ class Series:
         """
         if self.order < 1:
             raise NotDeltaSeries("need at least order 1 to invert")
-        if self.coeffs[0]:
+        if self._nums[0]:
             raise NotDeltaSeries("constant term must vanish")
-        f1 = self.coeffs[1]
+        f1 = self._nums[1]
         if not f1:
             raise NotDeltaSeries("linear coefficient must be nonzero")
         N = self.order
         # the top entry of f' is unknown at this order; it only influences
         # terms beyond t^N of the Newton correction (the error factor has
         # valuation >= 2), so padding with zero is exact.
-        fp = Series(self.derivative().coeffs + [ZERO], N)
-        g = Series([ZERO, ONE / f1], 1)
+        fp = self.derivative()._padded(N)
+        g = Series([0, Fraction(self._den, f1)], 1)
         prec = 1
         while prec < N:
             prec = min(2 * prec, N)
-            g = Series(g.coeffs, prec)
+            g = g._padded(prec)
             err = self.truncate(prec).compose(g) - Series.t(prec)
             g = g - err * fp.truncate(prec).compose(g).reciprocal()
         return g
@@ -342,11 +420,12 @@ class Series:
 def series_str(s: Series) -> str:
     """Canonical rendering: ``c0 + c1*t + c2*t^2 + O(t^N+1)``."""
     pieces: list[str] = []
-    for k, c in enumerate(s.coeffs):
-        if not c:
+    den = s._den
+    for k, n in enumerate(s._nums):
+        if not n:
             continue
-        neg = c < 0
-        body = str(-c if neg else c)
+        neg = n < 0
+        body = str(Fraction(-n if neg else n, den))
         if k == 0:
             term = body
         elif k == 1:

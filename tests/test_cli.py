@@ -1,11 +1,16 @@
 """CLI behaviour: formats, exit codes, determinism, golden outputs."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shefferpoly.cli import main
 from shefferpoly.suites import SUITES
@@ -230,3 +235,44 @@ def test_expand_huge_order_computes_only_the_requested_members(kind, capsys):
     small = capsys.readouterr().out.splitlines()
     assert huge[0].endswith("order 100000") and small[0].endswith("order 12")
     assert huge[1:] == small[1:] and len(huge) == 4
+
+
+# -- robustness: any expand request ends in output or one clean error ---------------
+
+_PARAMS = {"generalized-hermite": ("nu", "k"), "laguerre": ("alpha",),
+           "actuarial": ("beta",), "poisson-charlier": ("a",),
+           "peters": ("lambda", "mu"), "shively": ("a",)}
+_huge = 10 ** 30
+_rationals = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from([F(0), F(-1), F(_huge), F(-_huge), F(1, _huge), F(_huge + 1, 2)]),
+)
+
+
+@st.composite
+def _expand_argv(draw):
+    pair = draw(st.sampled_from(sorted(_PARAMS) + ["hahn", "identity"]))
+    argv = ["expand", "--pair", pair,
+            "--kind", draw(st.sampled_from(["S", "R", "sheffer"])),
+            "--r", str(draw(st.integers(0, 4))),
+            "--order", str(draw(st.integers(0, 8)))]
+    for name in draw(st.lists(st.sampled_from(_PARAMS.get(pair, ("a",))), unique=True)):
+        argv += ["--param", f"{name}={draw(_rationals)}"]
+    lo = draw(st.integers(0, 3))
+    hi = draw(st.integers(lo, lo + 3))
+    argv += ["--n", str(lo) if lo == hi else f"{lo}..{hi}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expand_argv())
+def test_expand_ends_in_output_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert out.getvalue() and not err.getvalue(), argv
+    else:
+        assert code in (2, 3) and not out.getvalue(), argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv

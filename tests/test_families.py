@@ -25,6 +25,7 @@ from shefferpoly import (
     tricomi_c,
     umbral_pairing,
 )
+from shefferpoly.families import sheffer_matrix
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -276,3 +277,22 @@ def test_pair_param_override():
     assert pc.resolved(4).f.coeffs[1] == 2
     with pytest.raises(KeyError):
         get_pair("poisson-charlier", {"nu": F(1)})
+
+
+def test_cached_series_cannot_be_corrupted():
+    # resolved pairs and Sheffer matrices are memoized and handed out as
+    # they are, so a write through a returned value must not reach the cache
+    hahn = get_pair("hahn")
+    H = str(hahn.resolved(6).H)
+    hahn.resolved(6).H.coeffs[3] = F(99)
+    assert str(hahn.resolved(6).H) == H
+    with pytest.raises(AttributeError):
+        hahn.resolved(6).H.coeffs = [F(0)] * 7
+    # parameters no other test uses, so nothing below is memoized yet
+    pair = get_pair("poisson-charlier", {"a": F(7)})
+    cols = sheffer_matrix(pair, 6)
+    with pytest.raises(TypeError):
+        cols[1][1] = F(5)
+    cols[1].coeffs[1] = F(5)
+    assert str(sheffer_poly(pair, 1, 6)) == "1/7*x - 1"
+    assert sheffer_matrix(pair, 6)[1].coefficient(1) == F(1, 7)

@@ -4,6 +4,7 @@ Expected coefficient lists were computed by hand convolution / term-by-term
 Taylor expansion before the engine existed and are asserted verbatim.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -199,6 +200,16 @@ def test_coefficient_out_of_range():
         S(1, 2).coefficient(5)
 
 
+def test_negative_indices_are_rejected():
+    # a negative index must not read or write from the top end
+    with pytest.raises(ValueError):
+        S(1, 2, 3, 4).coefficient(-1)
+    with pytest.raises(ValueError):
+        Series.monomial(5, -1, 3)
+    with pytest.raises(ValueError):
+        S(1, 2, 3, 4).divided_by_t(-1)
+
+
 # -- compositional inverse ------------------------------------------------------------------
 
 
@@ -243,3 +254,158 @@ def test_inverse_roundtrip_both_directions(a, f1):
 
 def test_series_rendering():
     assert str(S(1, 0, F(-1, 2))) == "1 - 1/2*t^2 + O(t^3)"
+
+
+# -- the integer representation against a plain list[Fraction] reference ------------
+
+
+def _ref_mul(a, b):
+    size = min(len(a), len(b))
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), F(0)) for n in range(size)]
+
+
+def _ref_reciprocal(a):
+    out = [1 / a[0]]
+    for n in range(1, len(a)):
+        out.append(-sum((a[k] * out[n - k] for k in range(1, n + 1)), F(0)) / a[0])
+    return out
+
+
+def _ref_exp(a):
+    # n e_n = sum_k k a_k e_(n-k)
+    out = [F(1)]
+    for n in range(1, len(a)):
+        out.append(sum((k * a[k] * out[n - k] for k in range(1, n + 1)), F(0)) / n)
+    return out
+
+
+def _ref_log(a):
+    # a = exp(l): n a_n = sum_k k l_k a_(n-k), solved for l_n (a_0 = 1)
+    out = [F(0)]
+    for n in range(1, len(a)):
+        out.append(a[n] - sum((k * out[k] * a[n - k] for k in range(1, n)), F(0)) / n)
+    return out
+
+
+def _ref_pow(a, q):
+    # b = a^q satisfies a b' = q a' b: n b_n = sum_k ((q+1) k - n) a_k b_(n-k)
+    out = [F(1)]
+    for n in range(1, len(a)):
+        out.append(sum((((q + 1) * k - n) * a[k] * out[n - k]
+                        for k in range(1, n + 1)), F(0)) / n)
+    return out
+
+
+def _ref_compose(a, b):
+    size = min(len(a), len(b))
+    out = [F(0)] * size
+    power = [F(1)] + [F(0)] * (size - 1)
+    for k in range(size):
+        out = [o + a[k] * p for o, p in zip(out, power)]
+        power = _ref_mul(power, b[:size])
+    return out
+
+
+def _ref_inverse(f):
+    # solve f(g) = t one coefficient at a time: [t^n] f(g) = f_1 g_n + (terms
+    # in g_1 .. g_(n-1))
+    g = [F(0), 1 / f[1]] + [F(0)] * (len(f) - 2)
+    for n in range(2, len(f)):
+        g[n] = -_ref_compose(f, g)[n] / f[1]
+    return g
+
+
+def _ref_str(a):
+    pieces = []
+    for k, c in enumerate(a):
+        if not c:
+            continue
+        body = str(abs(c))
+        if k:
+            mono = "t" if k == 1 else f"t^{k}"
+            body = mono if body == "1" else f"{body}*{mono}"
+        if pieces:
+            pieces.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
+    return f"{' '.join(pieces) or '0'} + O(t^{len(a)})"
+
+
+def _assert_represents(s, ref):
+    nums, den = s._nums, s._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int for n in nums)
+    assert math.gcd(den, *nums) == 1
+    if not any(nums):
+        assert den == 1
+    assert s.order == len(ref) - 1 and len(nums) == len(ref)
+    assert s.coeffs == ref
+    assert [s.coefficient(n) for n in range(len(ref))] == ref
+    assert str(s) == _ref_str(ref)
+    twin = Series(ref, len(ref) - 1)
+    assert s == twin and hash(s) == hash(twin)
+    assert s.is_zero == (not any(ref))
+
+
+_ref_coeffs = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.integers(-30, 30).map(F),
+    st.sampled_from([F(0), F(1), F(-1), F(7, 360), F(-11, 24)]),
+)
+_ref_series = st.integers(0, 6).flatmap(
+    lambda order: st.lists(_ref_coeffs, min_size=order + 1, max_size=order + 1))
+_scalars = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_series, _ref_series, _scalars, st.integers(0, 3),
+       st.fractions(min_value=-2, max_value=2, max_denominator=3),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+def test_representation_matches_reference(a, b, c, k, q, f1):
+    ra, rb, rc = a, b, F(c)
+    p, s = Series(a), Series(b)
+    _assert_represents(p, ra)
+    _assert_represents(s, rb)
+    size = min(len(ra), len(rb))
+    _assert_represents(p + s, [x + y for x, y in zip(ra, rb)])
+    _assert_represents(p - s, [x - y for x, y in zip(ra, rb)])
+    _assert_represents(-p, [-x for x in ra])
+    _assert_represents(p + c, [ra[0] + rc] + ra[1:])
+    _assert_represents(c - p, [rc - ra[0]] + [-x for x in ra[1:]])
+    _assert_represents(p * s, _ref_mul(ra, rb))
+    _assert_represents(p * c, [x * rc for x in ra])
+    _assert_represents(c * p, [x * rc for x in ra])
+    if c:
+        _assert_represents(p / c, [x / rc for x in ra])
+    power = [F(1)] + [F(0)] * (len(ra) - 1)
+    for _ in range(k):
+        power = _ref_mul(power, ra)
+    _assert_represents(p ** k, power)
+    if ra[0] and k:
+        _assert_represents(p ** -k, _ref_reciprocal(power))
+    # calculus
+    _assert_represents(p.derivative(),
+                       [n * ra[n] for n in range(1, len(ra))] or [F(0)])
+    _assert_represents(p.integrate(), [F(0)] + [x / (n + 1) for n, x in enumerate(ra)])
+    _assert_represents(p.truncate(size - 1), ra[:size])
+    shifted = Series([0] + b, len(b))
+    _assert_represents(shifted.divided_by_t(), rb)
+    if ra[0]:
+        _assert_represents(p.reciprocal(), _ref_reciprocal(ra))
+        _assert_represents(s / p, _ref_mul(rb, _ref_reciprocal(ra)))
+    else:
+        with pytest.raises(ZeroConstantTerm):
+            p.reciprocal()
+    delta = [F(0)] + rb[1:]
+    _assert_represents(Series(delta).exp(), _ref_exp(delta))
+    unit = [F(1)] + ra[1:]
+    _assert_represents(Series(unit).log(), _ref_log(unit))
+    _assert_represents(Series(unit).pow_fraction(q), _ref_pow(unit, q))
+    _assert_represents(p.compose(Series(delta)), _ref_compose(ra, delta))
+    f = [F(0), f1] + ra[2:]
+    _assert_represents(Series(f).compositional_inverse(), _ref_inverse(f))
+    # equality of different orders, and of a value with its own rebuild
+    assert (p == s) == (ra == rb)
+    assert p == Series(p.coeffs, p.order) and hash(p) == hash(Series(p.coeffs))
