@@ -136,6 +136,16 @@ def cmd_expand(args) -> int:
         fam = MixedFamily(pair, args.kind, args.r, max(ns))
         polys = [fam.member(n) for n in ns]
         label = fam.label
+
+    def render(show, n: int, p) -> str:
+        try:
+            return show(p)
+        except ValueError:  # an integer past Python's int-to-str digit limit
+            raise CliError(
+                f"member n={n} of {pair.name} has a coefficient of more than "
+                f"{sys.get_int_max_str_digits()} digits, too long to print",
+                CAPACITY_ERROR)
+
     if args.format == "json":
         payload = {
             "pair": pair.name,
@@ -144,7 +154,7 @@ def cmd_expand(args) -> int:
             "order": order,
             "params": {k: str(v) for k, v in pair.params},
             "members": [
-                {"n": n, "poly": str(p), "latex": poly_latex(p)}
+                {"n": n, "poly": render(str, n, p), "latex": render(poly_latex, n, p)}
                 for n, p in zip(ns, polys)
             ],
         }
@@ -152,17 +162,17 @@ def cmd_expand(args) -> int:
     elif args.format == "csv":
         lines = ["n,polynomial"]
         for n, p in zip(ns, polys):
-            lines.append(f'{n},"{p}"')
+            lines.append(f'{n},"{render(str, n, p)}"')
         text = "\n".join(lines) + "\n"
     elif args.format == "latex":
         lines = [f"% {label}"]
         for n, p in zip(ns, polys):
-            lines.append(f"s_{{{n}}} &= {poly_latex(p)} \\\\")
+            lines.append(f"s_{{{n}}} &= {render(poly_latex, n, p)} \\\\")
         text = "\n".join(lines) + "\n"
     else:
         lines = [f"# {label}, order {order}"]
         for n, p in zip(ns, polys):
-            lines.append(f"n={n}: {p}")
+            lines.append(f"n={n}: {render(str, n, p)}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0

@@ -37,15 +37,28 @@ polynomial's own representation: integer numerators over one denominator,
 reduced by their gcd (``multipoly.Num``), summed by ``multipoly._collect``.
 ``LinOp.apply`` is the one linear extension, and there is no conversion at
 its boundary: it hands the polynomial's fields to the kernel and wraps the
-result as it is.  Each instance memoizes its images; a leaf reads its own
-``image`` once per monomial, so every composite sees the leaf's action, and
-an operator applied to many polynomials (the raising and lowering operators
-of a monomiality check, over every member and every commutator test
-monomial) computes the image of each monomial once.  The memo is freed
-with the operator.  Operators are immutable expression trees and
-application is pure: a memo write stores the value any other call would
-compute, and since polynomials are immutable, a result that shares its
-fields with a memoized image cannot change it, so concurrent use is safe.
+result as it is.  Images are memoized, so an operator applied to many
+polynomials (the raising and lowering operators of a monomiality check,
+over every member and every commutator test monomial) computes the image
+of each monomial once.  The memo has one of two lifetimes:
+
+* A weighted shift shares one memo with every weighted shift of the same
+  structure, for the life of the process.  A leaf's structure is its
+  class, that class's ``image`` function and its argument (the variable,
+  the scale, or the polynomial); a shift ``Compose``'s structure is its
+  parts'.  Every family's d/dy or Theta reads each image once, and a
+  replaced ``image`` (a planted fault) gets a fresh memo in every operator
+  built after it.
+* Every other operator (``OpSeries``, ``OpSum``, a ``Compose`` that is not
+  a shift, a many-term ``MulPoly``) keeps its own memo, since its images
+  depend on its whole tree; the memo is freed with the operator.
+
+A leaf reads its own ``image`` once per monomial, so every composite sees
+the leaf's action.  Operators are immutable expression trees and
+application is pure: a memo write, shared memo or not, stores the value
+any other call would compute, and since polynomials are immutable, a
+result that shares its fields with a memoized image cannot change it, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -89,6 +102,10 @@ Shift = tuple[Exponent, int, int] | None
 
 _MISSING = object()
 
+# weighted-shift structure -> its memo, for the life of the process: a
+# leaf's key is (class, image function, argument), a Compose's its parts'
+_SHIFT_MEMOS: dict[tuple, dict[Exponent, Shift]] = {}
+
 
 def _term(e: Exponent, n: int = 1, d: int = 1) -> MultiPoly:
     """n/d times the monomial with exponents e (zero when n is 0); n/d is
@@ -117,7 +134,9 @@ class LinOp:
     or zero.  Composites define ``_shift`` (when they are weighted shifts)
     or ``_image``, both on (numerators, denominator) fields.  ``apply`` is
     the linear extension, written once here: each image is computed once
-    per instance and kept in the instance's memo.
+    per memo.  A weighted shift shares the memo of its structure with the
+    whole process (``_SHIFT_MEMOS``); every other operator keeps its own,
+    which is freed with the operator.
     """
 
     shift = False
@@ -127,13 +146,25 @@ class LinOp:
         self._images = {}
         return self
 
+    def _share(self, key: tuple) -> None:
+        """Make this weighted shift read and fill the memo of ``key``."""
+        self._key = key
+        self._images = _SHIFT_MEMOS.setdefault(key, {})
+
+    def _leaf(self, arg) -> None:
+        """Share the memo of this leaf's class, ``image`` and argument; the
+        leaf keeps reading that ``image``, so its memo holds only its
+        values even if the class's ``image`` is replaced later."""
+        self._image_fn = type(self).image
+        self._share((type(self), self._image_fn, arg))
+
     def image(self, e: Exponent) -> MultiPoly:
         """The image of the single monomial with exponents e."""
         return self.apply(_term(e))
 
     def _shift(self, e: Exponent) -> Shift:
         """A weighted-shift leaf's image of x^e, read from ``image``."""
-        img = self.image(e)
+        img = self._image_fn(self, e)
         if not img._nums:
             return None
         (e2, n), = img._nums.items()
@@ -200,6 +231,9 @@ class LinOp:
 class Identity(LinOp):
     shift = True
 
+    def __init__(self):
+        self._leaf(None)
+
     def image(self, e: Exponent) -> MultiPoly:
         return _term(e)
 
@@ -215,6 +249,7 @@ class Scale(LinOp):
 
     def __init__(self, c):
         self.c = Fraction(c)
+        self._leaf(self.c)
 
     def image(self, e: Exponent) -> MultiPoly:
         return _term(e, self.c.numerator, self.c.denominator)
@@ -232,6 +267,8 @@ class MulPoly(LinOp):
     def __init__(self, poly: MultiPoly):
         self.poly = as_poly(poly)
         self.shift = len(self.poly._nums) <= 1
+        if self.shift:
+            self._leaf(self.poly)
 
     def image(self, e: Exponent) -> MultiPoly:
         return self.poly * _term(e)
@@ -251,6 +288,7 @@ class MulVar(LinOp):
     def __init__(self, var: str):
         self.var = var
         self.index = VAR_INDEX[var]
+        self._leaf(var)
 
     def image(self, e: Exponent) -> MultiPoly:
         return _term(_bump(e, self.index, 1))
@@ -270,6 +308,7 @@ class Deriv(LinOp):
     def __init__(self, var: str):
         self.var = var
         self.index = VAR_INDEX[var]
+        self._leaf(var)
 
     def image(self, e: Exponent) -> MultiPoly:
         return _term(_bump(e, self.index, -1), e[self.index])
@@ -289,6 +328,7 @@ class InvDeriv(LinOp):
     def __init__(self, var: str):
         self.var = var
         self.index = VAR_INDEX[var]
+        self._leaf(var)
 
     def image(self, e: Exponent) -> MultiPoly:
         return _term(_bump(e, self.index, 1), 1, e[self.index] + 1)
@@ -353,6 +393,8 @@ class Compose(LinOp):
                 flat.append(op)
         self.ops = tuple(flat)
         self.shift = all(op.shift for op in self.ops)
+        if self.shift:
+            self._share(tuple(op._key for op in self.ops))
 
     def _shift(self, e: Exponent) -> Shift:
         a = b = 1

@@ -108,6 +108,17 @@ def test_exit_code_inexact_root_of_huge_power():
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
+def test_member_too_long_to_print_is_a_capacity_error(fmt, capsys):
+    # member 0 of peters at mu=100000 is 1/2^100000 (30,103 digits)
+    code = main(["expand", "--pair", "peters", "--param", "mu=100000",
+                 "--n", "0..1", "--order", "2", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == (f"error: member n=0 of peters has a coefficient of more than "
+                   f"{sys.get_int_max_str_digits()} digits, too long to print\n")
+
+
 def test_exit_code_non_integer_k():
     code, _, err = run_cli("expand", "--pair", "generalized-hermite", "--param",
                            "k=5/2", "--n", "2")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from shefferpoly.operators import (
     monomials_up_to,
 )
 from shefferpoly.series import OrderTooSmall
+from shefferpoly.suites import suite_monomiality
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -451,13 +453,14 @@ EVERY_OPERATOR = [
 ]
 
 
-def test_every_operator_class_is_covered():
-    def subclasses(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
-    assert {type(make()) for _, make in EVERY_OPERATOR} == set(subclasses(LinOp))
+
+def test_every_operator_class_is_covered():
+    assert {type(make()) for _, make in EVERY_OPERATOR} == set(_subclasses(LinOp))
 
 
 @pytest.mark.parametrize("name,make", EVERY_OPERATOR, ids=[o[0] for o in EVERY_OPERATOR])
@@ -470,6 +473,101 @@ def test_applied_value_does_not_alias_the_memo(name, make):
         got.terms[(7, 7, 7)] = F(5)
         assert op.apply(p).terms == want
         assert make().apply(p).terms == want
+
+
+# -- memo lifetimes -------------------------------------------------------------------
+
+
+def test_weighted_shifts_share_one_memo_per_structure():
+    assert deriv("y")._images is deriv("y")._images
+    assert theta_operator()._images is theta_operator()._images
+    assert mul_poly(3 * Z)._images is mul_poly(3 * Z)._images
+    deriv("y").apply(Y ** 30)
+    assert (0, 30, 0) in deriv("y")._images  # filled through another instance
+    for a, b in [(deriv("y"), deriv("x")), (deriv("y"), inv_deriv("y")),
+                 (scale(F(1, 2)), scale(F(1, 3))), (theta_operator(), deriv("x"))]:
+        assert a._images is not b._images
+    # operators whose images depend on their whole tree keep their own memo
+    h = Series.t(6).exp()
+    for make in (lambda: OpSeries(h, deriv("y")),
+                 lambda: op_sum(mul_var("x"), deriv("y")),
+                 lambda: compose(mul_var("x"), OpSeries(h, deriv("y"))),
+                 lambda: mul_poly(X + 2 * Z)):
+        a, b = make(), make()
+        a.apply(Y ** 3)
+        assert a._images and not b._images
+
+
+def test_replaced_deriv_image_reaches_every_operator_built_after_it(monkeypatch):
+    fam = MixedFamily(get_pair("hahn"), "S", 2, 12)
+
+    def pair_check():
+        return commutator_check(fam.lowering_operator("printed"),
+                                fam.raising_operator("printed"), 8)
+
+    assert pair_check().passed  # fills the shared memos with correct images
+    before = deriv("y")
+    with monkeypatch.context() as m:
+        m.setattr(operators.Deriv, "image", _off_by_one_deriv(lambda k: True))
+        assert deriv("y")._images is not before._images
+        rep = pair_check()
+        assert not rep.passed
+        assert rep.witness == f"FAIL at {ONE}: commutator gives {2 * ONE}"
+        # an operator built before the fault keeps its image and its memo
+        assert before.apply(Y ** 40) == 40 * Y ** 39
+    assert deriv("y")._images is before._images
+    assert pair_check().passed
+
+
+def test_monomiality_suite_reads_few_leaf_images(monkeypatch):
+    """Work-count guard: every leaf image is read once per structure, not
+    once per family (69,396 reads with per-instance memos)."""
+    calls = 0
+
+    def counting(image):
+        def counted(self, e):
+            nonlocal calls
+            calls += 1
+            return image(self, e)
+        return counted
+
+    for cls in _subclasses(LinOp):
+        if "image" in vars(cls):  # a new image function also means fresh memos
+            monkeypatch.setattr(cls, "image", counting(cls.image))
+    checks = suite_monomiality(order=8, max_n=3)
+    assert checks and all(c.passed for c in checks)
+    assert 0 < calls <= 2000
+
+
+def test_threads_filling_the_shared_memos_agree(monkeypatch):
+    fam = MixedFamily(get_pair("hahn"), "R", 2, 12)
+    members = [fam.egf_member(n) for n in range(12)]
+
+    def run():
+        M, P = fam.raising_operator("theta"), fam.lowering_operator("theta")
+        return [(M.apply(m), P.apply(m)) for m in members]
+
+    want = run()
+    for cls in _subclasses(LinOp):
+        if "image" in vars(cls):  # the same images, in fresh memos
+            monkeypatch.setattr(cls, "image", lambda self, e, image=cls.image: image(self, e))
+    results = [None] * 6
+
+    def work(i):
+        results[i] = run()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * len(results)
 
 
 # Deriv.image multiplying v^k by k + 1, planted before anything runs; every
