@@ -36,10 +36,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(name: str, text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        if limit and sum(c.isdecimal() for c in text) > limit:
+            # Python's message would repeat every digit
+            raise CliError(f"--param {name} has more than {limit} digits, too many to read")
         raise CliError(f"not an exact rational: {text!r} ({exc})")
 
 
@@ -49,7 +53,8 @@ def _parse_params(items: list[str]) -> dict[str, Fraction]:
         if "=" not in item:
             raise CliError(f"--param expects name=p/q, got {item!r}")
         name, _, value = item.partition("=")
-        params[name.strip()] = _parse_fraction(value.strip())
+        name = name.strip()
+        params[name] = _parse_fraction(name, value.strip())
     return params
 
 

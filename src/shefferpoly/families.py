@@ -36,7 +36,9 @@ them (``multipoly.lincomb``) against the numerators and denominators of
 the matrix entries, with the weight folded into each entry; no
 ``Fraction`` is built on the way.  The phi_k of one Phi are computed once
 per truncation order and kept in ``pairs._MEMO``; any n <= order reads its
-phi_0..phi_n from that one list.
+phi_0..phi_n from that one list.  The named families (``leghp_member``,
+``gould_hopper``, ``legendre_S``/``legendre_R``, ``sheffer_poly``) memoize
+each member per n, so a member no caller asks for is never built.
 """
 
 from __future__ import annotations
@@ -176,17 +178,20 @@ def family_member(pair, factors, n: int, order: int, weight: int | Fraction) -> 
     return _coefficient(cols, phi_coefficients(factors, order), n, weight)
 
 
-def _members(key, pair, factors, order: int, power: int) -> tuple[MultiPoly, ...]:
-    """(n!)^power * [t^n] A(t) Phi(H(t)) for n = 0..order, memoized under key."""
-    return memo(key, lambda: expand(pair, factors, order, power))
-
-
-def _member_at(members: tuple[MultiPoly, ...], n: int) -> MultiPoly:
+def _member(key, pair, factors, order: int, power: int, n: int) -> MultiPoly:
+    """(n!)^power * [t^n] A(t) Phi(H(t)), memoized under key + (n,); the
+    matrix and the phi_k are read once per family key."""
     if n < 0:
         raise ValueError(f"member index must be >= 0, got {n}")
-    if n >= len(members):
-        raise OrderTooSmall(f"member {n} beyond truncation order {len(members) - 1}")
-    return members[n]
+    if n > order:
+        raise OrderTooSmall(f"member {n} beyond truncation order {order}")
+
+    def make():
+        cols, phi = memo(key, lambda: (sheffer_matrix(pair, order),
+                                       phi_coefficients(factors, order)))
+        return _coefficient(cols, phi, n, math.factorial(n) ** power)
+
+    return memo(key + (n,), make)
 
 
 def leghp_phi(kind: str, r: int) -> tuple:
@@ -204,7 +209,7 @@ def leghp_member(pair, kind: str, r: int, n: int, order: int) -> MultiPoly:
     or (n!)^2 (R)."""
     key = ("leghp", pair.name, pair.params, kind, r, order)
     power = 1 if kind == "S" else 2
-    return _member_at(_members(key, pair, leghp_phi(kind, r), order, power), n)
+    return _member(key, pair, leghp_phi(kind, r), order, power, n)
 
 
 def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
@@ -219,21 +224,21 @@ def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
         raise ValueError("Gould-Hopper order must be >= 1")
     order = n if order is None else order
     phi = (exp_factor(_X), exp_factor(_Y, s))
-    return _member_at(_members(("gould-hopper", s, order), _IDENTITY, phi, order, 1), n)
+    return _member(("gould-hopper", s, order), _IDENTITY, phi, order, 1, n)
 
 
 def legendre_S(n: int, order: int | None = None) -> MultiPoly:
     """S_n(x, y) from exp(y t) C_0(-x t^2)."""
     order = n if order is None else order
     phi = (exp_factor(_Y), c0_compose(-_X, 2))
-    return _member_at(_members(("legendre-S", order), _IDENTITY, phi, order, 1), n)
+    return _member(("legendre-S", order), _IDENTITY, phi, order, 1, n)
 
 
 def legendre_R(n: int, order: int | None = None) -> MultiPoly:
     """R_n(x, y): the (n!)^2-scaled t^n coefficient of C_0(x t) C_0(-y t)."""
     order = n if order is None else order
     phi = (c0_compose(_X), c0_compose(-_Y))
-    return _member_at(_members(("legendre-R", order), _IDENTITY, phi, order, 2), n)
+    return _member(("legendre-R", order), _IDENTITY, phi, order, 2, n)
 
 
 def leghp_S(n: int, r: int, order: int | None = None) -> MultiPoly:
@@ -267,7 +272,7 @@ def sheffer_poly(pair, n: int, order: int | None = None) -> MultiPoly:
     """
     order = max(n, 1) if order is None else order
     key = ("sheffer", pair.name, pair.params, order)
-    return _member_at(_members(key, pair, (exp_factor(_X),), order, 1), n)
+    return _member(key, pair, (exp_factor(_X),), order, 1, n)
 
 
 def umbral_pairing(h: Series, p: MultiPoly) -> Fraction:

@@ -218,17 +218,17 @@ class MixedFamily:
             M = self.raising_operator(vname)
             P = self.lowering_operator(vname)
             for n in range(max_n + 1):
-                for norm in norms:
-                    at = members[norm]
-                    mn = at[n]
-                    down = at[n - 1] * n if n else MultiPoly.zero()
-                    checks.append(compare("monomiality", f"raising/{vname}/{norm}",
-                                          M.apply(mn), at[n + 1], n))
-                    checks.append(compare("monomiality", f"lowering/{vname}/{norm}",
-                                          P.apply(mn), down, n))
                 mn = members["egf"][n]
+                up, down = M.apply(mn), P.apply(mn)
+                for norm in norms:
+                    # stored = n! egf, so the stored images are n! times the egf ones
+                    at, c = members[norm], math.factorial(n) if norm == "stored" else 1
+                    checks.append(compare("monomiality", f"raising/{vname}/{norm}",
+                                          up * c, at[n + 1], n))
+                    checks.append(compare("monomiality", f"lowering/{vname}/{norm}",
+                                          down * c, at[n - 1] * n if n else MultiPoly.zero(), n))
                 checks.append(compare("monomiality", f"diffeq/{vname}/egf",
-                                      M.apply(P.apply(mn)) - mn * n, 0, n, "residual {}"))
+                                      M.apply(down) - mn * n, 0, n, "residual {}"))
             com = commutator_check(P, M, degree)
             checks.append(Check("monomiality", f"commutator/{vname}/egf",
                                 com.passed, com.detail, degree))

@@ -65,6 +65,20 @@ def _reduced(nums: dict[Exponent, int], den: int) -> Num:
     return nums, den
 
 
+def _sum(images: Iterable[tuple[int, Num]], den: int = 1) -> Num:
+    """The sum of n * (nums/d) over (n, (nums, d)) in images, divided by den
+    (> 0): each image is scaled into one accumulator over the common
+    denominator, with one ``common // d`` per image."""
+    scaled = [(n, nums, d) for n, (nums, d) in images if n and nums]
+    common = lcm(*[d for _, _, d in scaled])
+    acc: dict[Exponent, int] = {}
+    for n, nums, d in scaled:
+        m = n * (common // d)
+        for e, k in nums.items():
+            acc[e] = acc.get(e, 0) + k * m
+    return _reduced(acc, den * common)
+
+
 def _collect(parts: list[tuple[Exponent, int, int]], den: int = 1) -> Num:
     """The sum of (n/d) x^e over parts (e, n, d), divided by den."""
     if len(parts) == 1:
@@ -308,18 +322,14 @@ class MultiPoly:
                 got = tab[e] = power(i, e - 1) * images[i]
             return got
 
-        parts = []
+        scaled = []
         for exps, n in self._nums.items():
             term = None
             for i, e in enumerate(exps):
                 if e:
                     term = power(i, e) if term is None else term * power(i, e)
-            if term is None:
-                parts.append((_CONST, n, 1))
-            else:
-                d = term._den
-                parts += [(e2, n * k, d) for e2, k in term._nums.items()]
-        return _wrap(_collect(parts, self._den))
+            scaled.append((n, ({_CONST: 1}, 1) if term is None else (term._nums, term._den)))
+        return _wrap(_sum(scaled, self._den))
 
     # -- rendering -----------------------------------------------------------
 
@@ -339,19 +349,7 @@ class MultiPoly:
 def lincomb(parts: Iterable[tuple[int, int, MultiPoly]]) -> MultiPoly:
     """sum (a/b) * p over (a, b, p) triples with integers a and b > 0, the
     ratio not necessarily reduced, in integers over one common denominator."""
-    scaled = []
-    common = 1
-    for a, b, p in parts:
-        if a and p._nums:
-            d = b * p._den
-            common = lcm(common, d)
-            scaled.append((a, d, p._nums))
-    acc: dict[Exponent, int] = {}
-    for a, d, nums in scaled:
-        m = a * (common // d)
-        for e, n in nums.items():
-            acc[e] = acc.get(e, 0) + n * m
-    return _wrap(_reduced(acc, common))
+    return _wrap(_sum((a, (p._nums, b * p._den)) for a, b, p in parts))
 
 
 def _lift(v) -> "MultiPoly":

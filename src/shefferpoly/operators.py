@@ -34,25 +34,33 @@ Theta = -d/dx x d/dx and -d/dx x d/dy all take this path.
 
 Images, and every intermediate value inside a composite, are in the
 polynomial's own representation: integer numerators over one denominator,
-reduced by their gcd (``multipoly.Num``), summed by ``multipoly._collect``.
-``LinOp.apply`` is the one linear extension, and there is no conversion at
-its boundary: it hands the polynomial's fields to the kernel and wraps the
-result as it is.  Images are memoized, so an operator applied to many
-polynomials (the raising and lowering operators of a monomiality check,
-over every member and every commutator test monomial) computes the image
-of each monomial once.  The memo has one of two lifetimes:
+reduced by their gcd (``multipoly.Num``).  A linear combination of whole
+images is summed in one accumulator by ``multipoly._sum``, single scaled
+monomials by ``multipoly._collect``.  ``LinOp.apply`` is the one linear
+extension, and there is no conversion at its boundary: it hands the
+polynomial's fields to the kernel and wraps the result as it is.  Images
+are memoized, so an operator applied to many polynomials (the raising and
+lowering operators of a monomiality check, over every member and every
+commutator test monomial) computes the image of each monomial once.  The
+memo has one of two lifetimes:
 
-* A weighted shift shares one memo with every weighted shift of the same
-  structure, for the life of the process.  A leaf's structure is its
-  class, that class's ``image`` function and its argument (the variable,
-  the scale, or the polynomial); a shift ``Compose``'s structure is its
-  parts'.  Every family's d/dy or Theta reads each image once, and a
-  replaced ``image`` (a planted fault) gets a fresh memo in every operator
-  built after it.
-* Every other operator (``OpSeries``, ``OpSum``, a ``Compose`` that is not
-  a shift, a many-term ``MulPoly``) keeps its own memo, since its images
-  depend on its whole tree; the memo is freed with the operator.
+* A weighted shift, and an ``OpSeries`` over a weighted-shift base, shares
+  one memo with every operator of the same structure, for the life of the
+  process.  A leaf's structure is its class, that class's ``image``
+  function and its argument (the variable, the scale, or the polynomial);
+  a shift ``Compose``'s structure is its parts'; an ``OpSeries``'s is the
+  class's ``_image`` function, the series numerators and denominator it
+  reads, and its base's structure.  Every family's d/dy, Theta, f(d/dy)
+  or (1/f')(Theta) computes each image once, and a replaced ``image`` or
+  ``OpSeries._image`` (a planted fault) gets a fresh memo in every
+  operator built after it.
+* Every other operator (an ``OpSeries`` over any other base, ``OpSum``, a
+  ``Compose`` that is not a shift, a many-term ``MulPoly``) keeps its own
+  memo, since its images depend on its whole tree; the memo is freed with
+  the operator.
 
+Each operator fills its memo with the image function its class had when it
+was built, so a replaced one never writes into a memo of correct images.
 A leaf reads its own ``image`` once per monomial, so every composite sees
 the leaf's action.  Operators are immutable expression trees and
 application is pure: a memo write, shared memo or not, stores the value
@@ -65,10 +73,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .checks import Check, compare
-from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, Num, _collect, _wrap, as_poly
+from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, Num, _collect, _sum, _wrap, as_poly
 from .series import OrderTooSmall, Series
 
 
@@ -102,9 +110,10 @@ Shift = tuple[Exponent, int, int] | None
 
 _MISSING = object()
 
-# weighted-shift structure -> its memo, for the life of the process: a
-# leaf's key is (class, image function, argument), a Compose's its parts'
-_SHIFT_MEMOS: dict[tuple, dict[Exponent, Shift]] = {}
+# operator structure -> its memo, for the life of the process: a leaf's
+# key is (class, image function, argument), a shift Compose's its parts',
+# an OpSeries's (class, _image function, numerators, denominator, base key)
+_SHIFT_MEMOS: dict[tuple, dict[Exponent, Shift | Num]] = {}
 
 
 def _term(e: Exponent, n: int = 1, d: int = 1) -> MultiPoly:
@@ -134,9 +143,11 @@ class LinOp:
     or zero.  Composites define ``_shift`` (when they are weighted shifts)
     or ``_image``, both on (numerators, denominator) fields.  ``apply`` is
     the linear extension, written once here: each image is computed once
-    per memo.  A weighted shift shares the memo of its structure with the
-    whole process (``_SHIFT_MEMOS``); every other operator keeps its own,
-    which is freed with the operator.
+    per memo, by the ``_image`` (a leaf's: ``image``) the class had when the
+    operator was built.  A weighted shift, and an ``OpSeries`` over one,
+    shares the memo of its structure with the whole process
+    (``_SHIFT_MEMOS``); every other operator keeps its own, which is freed
+    with the operator.
     """
 
     shift = False
@@ -144,10 +155,11 @@ class LinOp:
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls)
         self._images = {}
+        self._fill = cls._image
         return self
 
     def _share(self, key: tuple) -> None:
-        """Make this weighted shift read and fill the memo of ``key``."""
+        """Make this operator read and fill the process-wide memo of ``key``."""
         self._key = key
         self._images = _SHIFT_MEMOS.setdefault(key, {})
 
@@ -184,16 +196,16 @@ class LinOp:
                 if s is not None:
                     parts.append((s[0], n * s[1], s[2]))
             return _collect(parts, den)
-        memo = self._images
+        memo, fill = self._images, self._fill
         images = []
         for e, n in terms.items():
             img = memo.get(e)
             if img is None:
-                img = memo[e] = self._image(e)
+                img = memo[e] = fill(self, e)
             images.append((n, img))
         if den == 1 and len(images) == 1 and images[0][0] == 1:
             return images[0][1]  # polynomial fields are never mutated
-        return _collect([(e2, n * k, d) for n, (t, d) in images for e2, k in t.items()], den)
+        return _sum(images, den)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         return _wrap(self._act(p._nums, p._den))
@@ -429,19 +441,21 @@ class Compose(LinOp):
         return "∘".join(op.render() for op in self.ops)
 
 
-def _degree_bound(deltas: Deltas, exps: Collection[Exponent]) -> int | None:
+def _lowered(deltas: Deltas) -> list[tuple[int, int]]:
+    """(index, step) of every variable whose degree an operator with these
+    ``deltas`` provably lowers, by at least step."""
+    return [(VAR_INDEX[v], -dv) for v, dv in deltas.items() if dv is not None and dv <= -1]
+
+
+def _degree_bound(lowered: list[tuple[int, int]], exps: Collection[Exponent]) -> int | None:
     """The largest k for which B^k can be nonzero on a polynomial with the
-    monomials ``exps``, read from the variables whose degree B provably
-    lowers (``deltas`` are B's); None when it lowers none."""
+    monomials ``exps``, read from B's ``_lowered`` variables; None when it
+    lowers none."""
     if not exps:
         return 0
-    best: int | None = None
-    for v, dv in deltas.items():
-        if dv is not None and dv <= -1:
-            i = VAR_INDEX[v]
-            k = max(e[i] for e in exps) // (-dv)
-            best = k if best is None else min(best, k)
-    return best
+    if not lowered:
+        return None
+    return min(max(e[i] for e in exps) // step for i, step in lowered)
 
 
 class OpSeries(LinOp):
@@ -458,21 +472,28 @@ class OpSeries(LinOp):
     any other base each power is B applied to the previous one.  The h_k
     are read as the series stores them, integer numerators over its one
     denominator, so every term of an image is an integer ratio.
+
+    Over a weighted-shift base the images depend only on the h_k and the
+    base's structure, so the memo is shared by structure like a shift's:
+    the key is the ``_image`` this operator fills it with, the h_k and the
+    base's key.  Over any other base the memo is the operator's own.
     """
 
     def __init__(self, series: Series, base: LinOp, cutoff: int | None = None):
         self.series = series
         self.base = base
         self.cutoff = cutoff
-        self._base_deltas = base.deltas()
+        self._lowered = _lowered(base.deltas())
         # h_k = _hs[k] / _hden
         self._hs = series._nums if cutoff is None else series._nums[: cutoff + 1]
         self._hden = series._den
+        if base.shift:
+            self._share((type(self), self._fill, self._hs, self._hden, base._key))
 
     def _cutoff_for(self, exps: Collection[Exponent]) -> int:
         if self.cutoff is not None:
             return self.cutoff
-        k = _degree_bound(self._base_deltas, exps)
+        k = _degree_bound(self._lowered, exps)
         if k is None:
             raise CutoffRequired(
                 f"base operator {self.base.render()} does not lower any degree; "
@@ -572,15 +593,18 @@ def op_pow(op: LinOp, k: int) -> LinOp:
 # -- verification helpers ---------------------------------------------------------
 
 
-def monomials_up_to(max_degree: int) -> list[MultiPoly]:
-    """All monomials of total degree <= max_degree, in graded-lex order."""
-    out = []
+def _exponents_up_to(max_degree: int) -> Iterator[Exponent]:
+    """The exponents of every monomial of total degree <= max_degree, in
+    graded-lex order."""
     for d in range(max_degree + 1):
         for ex in range(d, -1, -1):
             for ey in range(d - ex, -1, -1):
-                ez = d - ex - ey
-                out.append(MultiPoly.monomial((ex, ey, ez)))
-    return out
+                yield ex, ey, d - ex - ey
+
+
+def monomials_up_to(max_degree: int) -> list[MultiPoly]:
+    """All monomials of total degree <= max_degree, in graded-lex order."""
+    return [_term(e) for e in _exponents_up_to(max_degree)]
 
 
 def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> Check:
@@ -589,14 +613,12 @@ def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> Check:
     The record carries test_degree as its n; a failure names the first
     monomial, in graded-lex order, where the identity breaks.
     """
-    for m in monomials_up_to(test_degree):
-        num = m._nums, m._den
-        t1, d1 = a._act(*b._act(*num))
-        t2, d2 = b._act(*a._act(*num))
-        got = _collect([(e, n, d1) for e, n in t1.items()] + [(e, -n, d2) for e, n in t2.items()])
-        if got != num:
+    for e in _exponents_up_to(test_degree):
+        got = _sum(((1, a._act(*b._act({e: 1}, 1))), (-1, b._act(*a._act({e: 1}, 1)))))
+        if got != ({e: 1}, 1):
             return Check("operators", "commutator", False,
-                         lambda: f"FAIL at {m}: commutator gives {_wrap(got)}", test_degree)
+                         lambda: f"FAIL at {_term(e)}: commutator gives {_wrap(got)}",
+                         test_degree)
     return Check("operators", "commutator", True, None, test_degree)
 
 
@@ -619,7 +641,7 @@ def exp_operator(
     regardless (used for identities stated "up to degree d").
     """
     gen = exp_generator(terms)
-    k = cutoff if cutoff is not None else _degree_bound(gen.deltas(), p._nums)
+    k = cutoff if cutoff is not None else _degree_bound(_lowered(gen.deltas()), p._nums)
     if k is None:
         raise NonNilpotentGenerator(
             "no variable is lowered by every generator term; "
@@ -657,7 +679,7 @@ def substitute_operators(
     substitution recipe used in this package).
     """
     one = MultiPoly.const(1)
-    parts = []
+    scaled = []
     for exps, n in p._nums.items():
         term = one
         for v, e in zip(VARS, exps):
@@ -670,6 +692,5 @@ def substitute_operators(
                 term = term * op_pow(image, e).apply(one)
             else:
                 term = term * as_poly(image) ** e
-        d = term._den
-        parts += [(e2, n * k, d) for e2, k in term._nums.items()]
-    return _wrap(_collect(parts, p._den))
+        scaled.append((n, (term._nums, term._den)))
+    return _wrap(_sum(scaled, p._den))

@@ -119,6 +119,17 @@ def test_member_too_long_to_print_is_a_capacity_error(fmt, capsys):
                    f"{sys.get_int_max_str_digits()} digits, too long to print\n")
 
 
+@pytest.mark.parametrize("value", ["1" * 5000, "1/" + "3" * 5000, "1." + "0" * 5000],
+                         ids=["integer", "denominator", "decimal"])
+def test_param_past_the_digit_limit_is_one_short_error_line(value, capsys):
+    code = main(["expand", "--pair", "peters", "--param", f"mu={value}", "--n", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"error: --param mu has more than {sys.get_int_max_str_digits()} "
+                   "digits, too many to read\n")
+    assert len(err.encode()) < 200
+
+
 def test_exit_code_non_integer_k():
     code, _, err = run_cli("expand", "--pair", "generalized-hermite", "--param",
                            "k=5/2", "--n", "2")

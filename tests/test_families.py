@@ -1,7 +1,9 @@
 """Base family constructors against hand-evaluated finite sums, plus the
 pair catalog's closed-form consistency checks."""
 
+import io
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -162,8 +164,32 @@ def test_leghp_R_z0_is_legendre_R():
 
 
 def test_order_too_small():
-    with pytest.raises(OrderTooSmall):
+    with pytest.raises(OrderTooSmall, match="^member 9 beyond truncation order 5$"):
         leghp_S(9, 2, 5)
+
+
+def test_verify_all_builds_only_the_hybrid_members_it_reads(monkeypatch):
+    """Work-count guard: the suites read S- and R-kind members 0..9 at
+    order 12 (monomiality raises member 8 to 9), so members 10..12 are
+    never built."""
+    from shefferpoly import families, pairs
+    from shefferpoly.cli import main
+
+    monkeypatch.setattr(pairs, "_MEMO", {})
+    hybrid = [families.phi_coefficients(families.leghp_phi(kind, r), 12)
+              for kind in "SR" for r in (2, 3)]
+    built = []
+    coefficient = families._coefficient
+
+    def recording(cols, phi, n, weight):
+        if phi in hybrid:
+            built.append(n)
+        return coefficient(cols, phi, n, weight)
+
+    monkeypatch.setattr(families, "_coefficient", recording)
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--suite", "all", "--order", "12"]) == 0
+    assert built and max(built) <= 9
 
 
 def test_negative_member_index_is_rejected():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shefferpoly import MultiPoly, poly_latex
+from shefferpoly.multipoly import _sum, _wrap
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -242,6 +243,19 @@ def test_representation_matches_reference(a, b, c, k, images, replaced):
     for e in [(0, 0, 0)] + list(ra):
         assert p.coeff(e) == ra.get(e, 0)
     assert p.constant_value() == ra.get((0, 0, 0), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-5, 5), st.sampled_from([0, 10 ** 20, -7])),
+                          _ref_polys), max_size=5),
+       st.integers(1, 60))
+def test_sum_of_scaled_images_matches_reference(images, den):
+    """multipoly._sum against the reference: sum n * p over (n, p), over den."""
+    ref = {}
+    for n, a in images:
+        ref = _ref_add(ref, _ref_scale(_ref_clean(a), n))
+    fields = [(n, (MultiPoly(a)._nums, MultiPoly(a)._den)) for n, a in images]
+    _assert_represents(_wrap(_sum(fields, den)), _ref_scale(ref, F(1, den)))
 
 
 def test_values_are_immutable():

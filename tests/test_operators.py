@@ -487,9 +487,21 @@ def test_weighted_shifts_share_one_memo_per_structure():
     for a, b in [(deriv("y"), deriv("x")), (deriv("y"), inv_deriv("y")),
                  (scale(F(1, 2)), scale(F(1, 3))), (theta_operator(), deriv("x"))]:
         assert a._images is not b._images
-    # operators whose images depend on their whole tree keep their own memo
+    # an operator series over a shift base shares the memo of its series and base
     h = Series.t(6).exp()
-    for make in (lambda: OpSeries(h, deriv("y")),
+    assert OpSeries(h, deriv("y"))._images is OpSeries(Series.t(6).exp(), deriv("y"))._images
+    assert OpSeries(h, theta_operator())._images is OpSeries(h, theta_operator())._images
+    OpSeries(h, deriv("y")).apply(Y ** 5)
+    assert (0, 5, 0) in OpSeries(h, deriv("y"))._images  # filled through another instance
+    for a, b in [(OpSeries(h, deriv("y")), OpSeries(h * 2, deriv("y"))),
+                 (OpSeries(h, deriv("y")), OpSeries(Series.t(7).exp(), deriv("y"))),
+                 (OpSeries(h, deriv("y")), OpSeries(h, deriv("y"), cutoff=3)),
+                 (OpSeries(h, deriv("y")), OpSeries(h, deriv("x"))),
+                 (OpSeries(h, deriv("y")), OpSeries(h, op_pow(deriv("y"), 2)))]:
+        assert a._images is not b._images
+    # operators whose images depend on their whole tree keep their own memo
+    generator = exp_generator([(1, deriv("y")), (X, op_pow(deriv("y"), 2))])
+    for make in (lambda: OpSeries(h, generator),
                  lambda: op_sum(mul_var("x"), deriv("y")),
                  lambda: compose(mul_var("x"), OpSeries(h, deriv("y"))),
                  lambda: mul_poly(X + 2 * Z)):
@@ -517,6 +529,49 @@ def test_replaced_deriv_image_reaches_every_operator_built_after_it(monkeypatch)
         assert before.apply(Y ** 40) == 40 * Y ** 39
     assert deriv("y")._images is before._images
     assert pair_check().passed
+
+
+def test_replaced_series_image_reaches_every_operator_built_after_it(monkeypatch):
+    fam = MixedFamily(get_pair("hahn"), "S", 2, 12)
+    f = get_pair("hahn").resolved(12).f
+
+    def pair_check():
+        return commutator_check(fam.lowering_operator("printed"),
+                                fam.raising_operator("printed"), 8)
+
+    assert pair_check().passed  # fills the shared series memos with correct images
+    before = OpSeries(f, deriv("y"))
+    assert before._images is fam.lowering_operator("printed")._images
+    image = operators.OpSeries._image
+
+    def plus_identity(self, e):  # h(B) + 1 in place of h(B)
+        return operators._sum(((1, image(self, e)), (1, ({e: 1}, 1))))
+
+    with monkeypatch.context() as m:
+        m.setattr(operators.OpSeries, "_image", plus_identity)
+        assert fam.lowering_operator("printed")._images is not before._images
+        assert not pair_check().passed
+        # an operator built before the fault keeps its _image and its memo
+        assert before.apply(Y * Z ** 9) == (f.coeffs[0] * Y + f.coeffs[1]) * Z ** 9
+    assert fam.lowering_operator("printed")._images is before._images
+    assert pair_check().passed
+
+
+def test_monomiality_suite_computes_few_series_images(monkeypatch):
+    """Work-count guard: each operator-series image is computed once per
+    structure, not once per family (23,408 with per-instance memos)."""
+    calls = 0
+    image = operators.OpSeries._image
+
+    def counted(self, e):  # a new _image also means fresh memos
+        nonlocal calls
+        calls += 1
+        return image(self, e)
+
+    monkeypatch.setattr(operators.OpSeries, "_image", counted)
+    checks = suite_monomiality(order=8, max_n=3)
+    assert checks and all(c.passed for c in checks)
+    assert 0 < calls <= 10_000
 
 
 def test_monomiality_suite_reads_few_leaf_images(monkeypatch):
