@@ -202,6 +202,8 @@ class MixedFamily:
         Each record is named "{identity}/{variant}/{normalization}" and
         carries its n (the commutator's is its test degree).
         """
+        if max_n < 0:
+            raise ValueError("max_n must be >= 0")
         if max_n + 1 > self.order:
             raise OrderTooSmall("raising check at max_n needs order >= max_n + 1")
         # the operator-series factors carry order - 1 terms (one is lost
@@ -228,7 +230,7 @@ class MixedFamily:
                     checks.append(compare("monomiality", f"lowering/{vname}/{norm}",
                                           down * c, at[n - 1] * n if n else MultiPoly.zero(), n))
                 checks.append(compare("monomiality", f"diffeq/{vname}/egf",
-                                      M.apply(down) - mn * n, 0, n, "residual {}"))
+                                      M.residual(down, n, mn), 0, n, "residual {}"))
             com = commutator_check(P, M, degree)
             checks.append(Check("monomiality", f"commutator/{vname}/egf",
                                 com.passed, com.detail, degree))

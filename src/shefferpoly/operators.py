@@ -19,6 +19,9 @@ B = sum c_i op_i, with the same degree bound; it refuses to exponentiate
 a generator that does not visibly lower a common variable unless the
 caller supplies an explicit cutoff.  :func:`commutator_check` and
 :func:`crofton_check` return one :class:`~shefferpoly.checks.Check` each.
+The commutator forms a∘b(e) - b∘a(e) of each test monomial e in one
+accumulator, from the memoized images of b(e)'s monomials under a and of
+a(e)'s under b; it never reduces either side on its own.
 
 Every leaf operator (``Deriv``, ``InvDeriv``, ``MulVar``, ``Scale``,
 ``Identity``, ``MulPoly``) defines only its image of one monomial,
@@ -67,6 +70,22 @@ application is pure: a memo write, shared memo or not, stores the value
 any other call would compute, and since polynomials are immutable, a
 result that shares its fields with a memoized image cannot change it, so
 concurrent use is safe.
+
+An operator series checks its cutoff (``OpSeries._admit``) on every
+polynomial it acts on, nested in a composite or not: once on the whole
+polynomial when it has several monomials, since the bound of a sum can
+exceed each monomial's own (x^5 + y^5 under a series in d/dx d/dy needs
+five terms, x^5 and y^5 none).  Every image of one monomial is read
+through ``LinOp._image_at``; on a single-monomial input it skips the
+check exactly when there is no explicit cutoff and the monomial is
+already in the memo.  That is sound:
+an image enters a memo only after the check passed on a polynomial
+containing it, the memo key fixes the series (so its order) and the base
+(so the lowered variables), and a whole polynomial's bound is never below
+one of its monomials'.  With an explicit cutoff the check runs on every
+read, because two series of different orders can share a key: (1, 1, 1)
+is what both [1, 1, 1, 0, 0, 0] at cutoff 2 and [1, 1, 1] at cutoff 4
+read, and only the second must refuse.
 """
 
 from __future__ import annotations
@@ -151,6 +170,7 @@ class LinOp:
     """
 
     shift = False
+    cutoff: int | None = None  # an operator series' explicit term cutoff
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls)
@@ -187,6 +207,39 @@ class LinOp:
         img = self.image(e)
         return img._nums, img._den
 
+    def _admit(self, exps: Collection[Exponent]) -> None:
+        """Raise when this operator may not act on a polynomial with the
+        monomials ``exps``; only an operator series has such a condition."""
+
+    def _image_at(self, e: Exponent, admitted: bool = False) -> Num:
+        """The memoized image of the single monomial x^e.
+
+        Every read of one image as (numerators, denominator) goes through
+        here; only the weighted-shift paths read ``_shift_of`` directly.
+        ``_admit`` runs on {e} first, unless the caller has ``admitted`` a
+        whole polynomial with e in it, or there is no explicit cutoff and e
+        is already in the memo: then it has passed before (see the module
+        docstring).
+        """
+        if self.shift:
+            s = _shift_of(self, e)
+            return ({s[0]: s[1]}, s[2]) if s is not None else ({}, 1)
+        memo = self._images
+        img = memo.get(e)
+        if not admitted and (img is None or self.cutoff is not None):
+            self._admit((e,))
+        if img is None:
+            img = memo[e] = self._fill(self, e)
+        return img
+
+    def _images_over(self, terms: Mapping[Exponent, int]) -> list[tuple[int, Num]]:
+        """(n, image of x^e) for every term n x^e of a polynomial, after
+        ``_admit`` on the whole polynomial."""
+        whole = len(terms) != 1
+        if whole:
+            self._admit(terms)
+        return [(n, self._image_at(e, whole)) for e, n in terms.items()]
+
     def _act(self, terms: dict[Exponent, int], den: int) -> Num:
         """This operator applied to sum_e terms[e] x^e / den."""
         if self.shift:
@@ -196,19 +249,19 @@ class LinOp:
                 if s is not None:
                     parts.append((s[0], n * s[1], s[2]))
             return _collect(parts, den)
-        memo, fill = self._images, self._fill
-        images = []
-        for e, n in terms.items():
-            img = memo.get(e)
-            if img is None:
-                img = memo[e] = fill(self, e)
-            images.append((n, img))
+        images = self._images_over(terms)
         if den == 1 and len(images) == 1 and images[0][0] == 1:
             return images[0][1]  # polynomial fields are never mutated
         return _sum(images, den)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         return _wrap(self._act(p._nums, p._den))
+
+    def residual(self, p: MultiPoly, c: int, q: MultiPoly) -> MultiPoly:
+        """self(p) - c q, with q summed into the accumulator of p's images."""
+        images = self._images_over(p._nums)
+        images.append((-c * p._den, (q._nums, q._den)))
+        return _wrap(_sum(images, p._den))
 
     def deltas(self) -> Deltas:
         raise NotImplementedError
@@ -372,7 +425,7 @@ class OpSum(LinOp):
                 if s is not None:
                     parts.append(s)
             else:
-                t, d = op._act({e: 1}, 1)
+                t, d = op._image_at(e)
                 parts += [(e2, n, d) for e2, n in t.items()]
         return _collect(parts)
 
@@ -421,8 +474,9 @@ class Compose(LinOp):
         return e, a // g, b // g
 
     def _image(self, e: Exponent) -> Num:
-        cur = ({e: 1}, 1)
-        for op in reversed(self.ops):
+        *rest, first = self.ops
+        cur = first._image_at(e)
+        for op in reversed(rest):
             cur = op._act(*cur)
         return cur
 
@@ -465,7 +519,9 @@ class OpSeries(LinOp):
     degree of some variable, only finitely many terms act on a given
     polynomial.  Otherwise an explicit ``cutoff`` must be supplied.  Every
     application, nested in a composite or not, checks that cutoff against
-    the series order on the whole polynomial it acts on first.  The image
+    the series order on the whole polynomial it acts on first (``_admit``),
+    except on one monomial that an earlier check has already admitted
+    (see the module docstring).  The image
     of one monomial e sums h_k B^k e until the power vanishes (or through
     the explicit cutoff).  Over a weighted-shift base each B^k e is one
     monomial W_k(e) x^(e + k delta), read step by step from B's memo; over
@@ -490,25 +546,20 @@ class OpSeries(LinOp):
         if base.shift:
             self._share((type(self), self._fill, self._hs, self._hden, base._key))
 
-    def _cutoff_for(self, exps: Collection[Exponent]) -> int:
-        if self.cutoff is not None:
-            return self.cutoff
-        k = _degree_bound(self._lowered, exps)
-        if k is None:
-            raise CutoffRequired(
-                f"base operator {self.base.render()} does not lower any degree; "
-                "supply an explicit cutoff"
-            )
-        return k
-
-    def _act(self, terms: dict[Exponent, int], den: int) -> Num:
-        k_max = self._cutoff_for(terms)
+    def _admit(self, exps: Collection[Exponent]) -> None:
+        k_max = self.cutoff
+        if k_max is None:
+            k_max = _degree_bound(self._lowered, exps)
+            if k_max is None:
+                raise CutoffRequired(
+                    f"base operator {self.base.render()} does not lower any degree; "
+                    "supply an explicit cutoff"
+                )
         if k_max > self.series.order:
             raise OrderTooSmall(
                 f"operator series of order {self.series.order} applied where "
                 f"{k_max} terms are needed"
             )
-        return super()._act(terms, den)
 
     def _image(self, e: Exponent) -> Num:
         base, hs, hden = self.base, self._hs, self._hden
@@ -611,10 +662,24 @@ def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> Check:
     """Check (a∘b - b∘a) = identity on all monomials of degree <= test_degree.
 
     The record carries test_degree as its n; a failure names the first
-    monomial, in graded-lex order, where the identity breaks.
+    monomial, in graded-lex order, where the identity breaks.  Per
+    monomial e, a∘b(e) - b∘a(e) is one accumulator over the memoized
+    images, read in the order b(e), a over it, a(e), b over it; each
+    operator checks its precondition on the whole polynomial it acts on
+    first, so an operator series that is too short raises as ``apply``
+    would.  A negative test_degree, which would test nothing, raises
+    ``ValueError``.
     """
+    if test_degree < 0:
+        raise ValueError("the commutator test degree must be >= 0")
     for e in _exponents_up_to(test_degree):
-        got = _sum(((1, a._act(*b._act({e: 1}, 1))), (-1, b._act(*a._act({e: 1}, 1)))))
+        bt, bd = b._image_at(e)
+        ab = a._images_over(bt)
+        at, ad = a._image_at(e)
+        ba = b._images_over(at)
+        # a(b(e)) - b(a(e)) = (ad * sum ab - bd * sum ba) / (ad * bd)
+        got = _sum([(n * ad, img) for n, img in ab] + [(-n * bd, img) for n, img in ba],
+                   ad * bd)
         if got != ({e: 1}, 1):
             return Check("operators", "commutator", False,
                          lambda: f"FAIL at {_term(e)}: commutator gives {_wrap(got)}",

@@ -148,6 +148,12 @@ def test_monomiality_max_n_zero():
     assert len(raising) == 1 and raising[0].n == 0
 
 
+def test_monomiality_rejects_negative_max_n():
+    # a negative max_n used to return the commutator rows alone
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        fam().verify_monomiality(-1)
+
+
 def test_r_kind_report_has_definite_verdicts():
     checks = fam(IDENTITY, "R", 2, 10).verify_monomiality(5)
     verdicts = {}

@@ -20,6 +20,7 @@ from shefferpoly import (
     NonNilpotentGenerator,
     OpSeries,
     Series,
+    catalog,
     commutator_check,
     compose,
     crofton_check,
@@ -153,6 +154,12 @@ def test_gould_hopper_operator_commutator():
     # s = 2 family operators: M = x + 2 y d/dx, P = d/dx
     M = op_sum(mul_var("x"), F(2) * compose(mul_var("y"), deriv("x")))
     assert commutator_check(deriv("x"), M, 6).passed
+
+
+def test_negative_commutator_degree_is_rejected():
+    # a negative degree tests no monomial, so [d_y, d_y] = 0 would pass
+    with pytest.raises(ValueError, match="test degree must be >= 0"):
+        commutator_check(deriv("y"), deriv("y"), -1)
 
 
 # -- the shift identity ----------------------------------------------------------------
@@ -428,7 +435,35 @@ NESTED_SERIES_ERRORS = [
     (lambda: compose(mul_var("x"), OpSeries(Series.t(4).exp(), inv_deriv("y"))),
      Y, CutoffRequired,
      "base operator D_y^-1 does not lower any degree; supply an explicit cutoff"),
+    # x^5 + y^5 again, with each monomial of the intermediate memoized first
+    (lambda: _memoized(OpSeries(Series.t(3).exp(), compose(deriv("x"), deriv("y"))),
+                       [X ** 5, Y ** 5], mul_poly(X ** 5 + Y ** 5)),
+     ONE, OrderTooSmall, "operator series of order 3 applied where 5 terms are needed"),
+    # y^2 is memoized, yet the intermediate y^2 + y^3 is checked as a whole
+    (lambda: _memoized(OpSeries(Series.t(2).exp(), deriv("y")), [Y ** 2],
+                       mul_poly(Y ** 2 + Y ** 3)),
+     ONE, OrderTooSmall, "operator series of order 2 applied where 3 terms are needed"),
+    # one memo key, (1, 1, 1) over d/dy: the order-5 series at cutoff 2 fills
+    # it, and the order-2 series at cutoff 4 must still refuse
+    (lambda: _shares_memo_with(OpSeries(Series([1, 1, 1, 0, 0, 0]), deriv("y"), cutoff=2),
+                               OpSeries(Series([1, 1, 1]), deriv("y"), cutoff=4), Y ** 2),
+     Y ** 2, OrderTooSmall, "operator series of order 2 applied where 4 terms are needed"),
 ]
+
+
+def _memoized(series, monomials, inner):
+    """series after inner, once each of ``monomials`` has passed through series."""
+    for m in monomials:
+        series.apply(m)
+        assert next(iter(m._nums)) in series._images
+    return compose(series, inner)
+
+
+def _shares_memo_with(first, second, p):
+    """second, once first has filled the memo the two share with p."""
+    first.apply(p)
+    assert second._images is first._images and next(iter(p._nums)) in second._images
+    return second
 
 
 @pytest.mark.parametrize("make,p,exc,message", NESTED_SERIES_ERRORS)
@@ -473,6 +508,102 @@ def test_applied_value_does_not_alias_the_memo(name, make):
         got.terms[(7, 7, 7)] = F(5)
         assert op.apply(p).terms == want
         assert make().apply(p).terms == want
+
+
+# -- the fused monomiality kernel ---------------------------------------------------------
+
+
+def _reference_commutator(a, b, test_degree):
+    """(passed, witness) of the commutator check, as a(b(m)) - b(a(m)) per
+    monomial m through ``apply``."""
+    for m in monomials_up_to(test_degree):
+        got = a.apply(b.apply(m)) - b.apply(a.apply(m))
+        if got != m:
+            return False, f"FAIL at {m}: commutator gives {got}"
+    return True, None
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # the exception is part of the outcome compared
+        return type(exc), str(exc)
+
+
+# operator series that refuse some monomial: too short for y^3, an explicit
+# cutoff above the order, a base that lowers nothing, and one nested
+TOO_SHORT_SERIES = [
+    lambda: OpSeries(Series.t(2).exp(), deriv("y")),
+    lambda: OpSeries(Series.t(2).exp(), inv_deriv("y"), cutoff=4),
+    lambda: OpSeries(Series.t(4).exp(), inv_deriv("y")),
+    lambda: compose(mul_var("y"), OpSeries(Series.t(2).exp(), deriv("y"))),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([make for _, make in EVERY_OPERATOR] + TOO_SHORT_SERIES),
+       st.sampled_from([make for _, make in EVERY_OPERATOR] + TOO_SHORT_SERIES),
+       st.integers(0, 4))
+def test_commutator_matches_the_per_monomial_reference(make_a, make_b, degree):
+    def fused():
+        rep = commutator_check(make_a(), make_b(), degree)
+        return rep.passed, rep.witness
+
+    assert _outcome(fused) == _outcome(lambda: _reference_commutator(make_a(), make_b(), degree))
+
+
+def test_diffeq_residual_matches_apply_then_subtract():
+    seen = 0
+    for pair in catalog():
+        for r in (2, 3):
+            for kind, variants in (("S", ("printed",)), ("R", ("printed", "theta"))):
+                fam = MixedFamily(pair, kind, r, 12)
+                for variant in variants:
+                    M, P = fam.raising_operator(variant), fam.lowering_operator(variant)
+                    for n in range(4):
+                        mn = fam.egf_member(n)
+                        down = P.apply(mn)
+                        assert M.residual(down, n, mn) == M.apply(down) - mn * n
+                        seen += 1
+    assert seen == 14 * 2 * 3 * 4
+
+
+def test_commutator_sums_once_per_test_monomial(monkeypatch):
+    """Work-count guard: a∘b(e) - b∘a(e) is one accumulator per monomial
+    (three, 495 in all, when each side was reduced on its own)."""
+    fam = MixedFamily(get_pair("laguerre"), "S", 2, 12)
+    P, M = fam.lowering_operator(), fam.raising_operator()
+    assert commutator_check(P, M, 8).passed  # fills the memos
+    calls = 0
+    total = operators._sum
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return total(*args)
+
+    monkeypatch.setattr(operators, "_sum", counted)
+    assert commutator_check(P, M, 8).passed
+    assert calls == len(monomials_up_to(8)) == 165
+
+
+def test_monomiality_suite_bounds_few_degrees(monkeypatch):
+    """Work-count guard: an operator series re-reads a single memoized
+    monomial's degrees for its cutoff only under an explicit cutoff
+    (42,448 bounds when every nested application re-checked)."""
+    calls = 0
+    bound = operators._degree_bound
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return bound(*args)
+
+    monkeypatch.setattr(operators, "_SHIFT_MEMOS", {})  # fresh memos, so the count repeats
+    monkeypatch.setattr(operators, "_degree_bound", counted)
+    checks = suite_monomiality(order=12, max_n=8)
+    assert checks and all(c.passed for c in checks)
+    assert 0 < calls <= 20_000
 
 
 # -- memo lifetimes -------------------------------------------------------------------
