@@ -78,14 +78,15 @@ exceed each monomial's own (x^5 + y^5 under a series in d/dx d/dy needs
 five terms, x^5 and y^5 none).  Every image of one monomial is read
 through ``LinOp._image_at``; on a single-monomial input it skips the
 check exactly when there is no explicit cutoff and the monomial is
-already in the memo.  That is sound:
-an image enters a memo only after the check passed on a polynomial
-containing it, the memo key fixes the series (so its order) and the base
-(so the lowered variables), and a whole polynomial's bound is never below
-one of its monomials'.  With an explicit cutoff the check runs on every
-read, because two series of different orders can share a key: (1, 1, 1)
-is what both [1, 1, 1, 0, 0, 0] at cutoff 2 and [1, 1, 1] at cutoff 4
-read, and only the second must refuse.
+already in the memo.  That is sound: an image enters a memo only after
+the check passed on a polynomial containing it; a memo of a series with
+no explicit cutoff is shared only by series with none, whose key holds all
+their h_k (so their order) and the base (so the lowered variables); and a
+whole polynomial's bound is never below one of its monomials'.  With an
+explicit cutoff the check runs on every read, because two series of
+different orders can share a key: (1, 1, 1) is what both
+[1, 1, 1, 0, 0, 0] at cutoff 2 and [1, 1, 1] at cutoff 4 read, and only
+the second must refuse.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ class LinOp:
     """
 
     shift = False
-    cutoff: int | None = None  # an operator series' explicit term cutoff
+    _recheck_hits = False  # whether _admit runs again on a memoized monomial
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls)
@@ -217,16 +218,16 @@ class LinOp:
         Every read of one image as (numerators, denominator) goes through
         here; only the weighted-shift paths read ``_shift_of`` directly.
         ``_admit`` runs on {e} first, unless the caller has ``admitted`` a
-        whole polynomial with e in it, or there is no explicit cutoff and e
-        is already in the memo: then it has passed before (see the module
-        docstring).
+        whole polynomial with e in it, or e is already in the memo and this
+        operator does not ``_recheck_hits``: then it has passed before (see
+        the module docstring).
         """
         if self.shift:
             s = _shift_of(self, e)
             return ({s[0]: s[1]}, s[2]) if s is not None else ({}, 1)
         memo = self._images
         img = memo.get(e)
-        if not admitted and (img is None or self.cutoff is not None):
+        if not admitted and (img is None or self._recheck_hits):
             self._admit((e,))
         if img is None:
             img = memo[e] = self._fill(self, e)
@@ -531,20 +532,23 @@ class OpSeries(LinOp):
 
     Over a weighted-shift base the images depend only on the h_k and the
     base's structure, so the memo is shared by structure like a shift's:
-    the key is the ``_image`` this operator fills it with, the h_k and the
-    base's key.  Over any other base the memo is the operator's own.
+    the key is the ``_image`` this operator fills it with, the h_k, whether
+    the cutoff is implicit and the base's key.  Over any other base the
+    memo is the operator's own.
     """
 
     def __init__(self, series: Series, base: LinOp, cutoff: int | None = None):
         self.series = series
         self.base = base
         self.cutoff = cutoff
+        self._recheck_hits = cutoff is not None
         self._lowered = _lowered(base.deltas())
         # h_k = _hs[k] / _hden
         self._hs = series._nums if cutoff is None else series._nums[: cutoff + 1]
         self._hden = series._den
         if base.shift:
-            self._share((type(self), self._fill, self._hs, self._hden, base._key))
+            self._share((type(self), self._fill, self._hs, self._hden, cutoff is None,
+                         base._key))
 
     def _admit(self, exps: Collection[Exponent]) -> None:
         k_max = self.cutoff

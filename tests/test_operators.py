@@ -448,6 +448,11 @@ NESTED_SERIES_ERRORS = [
     (lambda: _shares_memo_with(OpSeries(Series([1, 1, 1, 0, 0, 0]), deriv("y"), cutoff=2),
                                OpSeries(Series([1, 1, 1]), deriv("y"), cutoff=4), Y ** 2),
      Y ** 2, OrderTooSmall, "operator series of order 2 applied where 4 terms are needed"),
+    # the mirror: the order-2 series at cutoff 2 fills y^5's image, and the same
+    # series with no cutoff, which needs 5 terms there, must still refuse
+    (lambda: _after_filling(OpSeries(Series.t(2).exp(), deriv("y"), cutoff=2),
+                            OpSeries(Series.t(2).exp(), deriv("y")), Y ** 5),
+     Y ** 5, OrderTooSmall, "operator series of order 2 applied where 5 terms are needed"),
 ]
 
 
@@ -457,6 +462,12 @@ def _memoized(series, monomials, inner):
         series.apply(m)
         assert next(iter(m._nums)) in series._images
     return compose(series, inner)
+
+
+def _after_filling(first, second, p):
+    """second, once first has applied to p."""
+    first.apply(p)
+    return second
 
 
 def _shares_memo_with(first, second, p):
@@ -627,6 +638,7 @@ def test_weighted_shifts_share_one_memo_per_structure():
     for a, b in [(OpSeries(h, deriv("y")), OpSeries(h * 2, deriv("y"))),
                  (OpSeries(h, deriv("y")), OpSeries(Series.t(7).exp(), deriv("y"))),
                  (OpSeries(h, deriv("y")), OpSeries(h, deriv("y"), cutoff=3)),
+                 (OpSeries(h, deriv("y")), OpSeries(h, deriv("y"), cutoff=6)),
                  (OpSeries(h, deriv("y")), OpSeries(h, deriv("x"))),
                  (OpSeries(h, deriv("y")), OpSeries(h, op_pow(deriv("y"), 2)))]:
         assert a._images is not b._images
