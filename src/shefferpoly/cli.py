@@ -120,7 +120,14 @@ def cmd_list(args) -> int:
 # -- expand -----------------------------------------------------------------------
 
 
+def _check_order(order: int | None) -> None:
+    # a suite that never reads the order would pass a negative one and print it
+    if order is not None and order < 0:
+        raise CliError("--order must be >= 0")
+
+
 def cmd_expand(args) -> int:
+    _check_order(args.order)
     params = _parse_params(args.param)
     try:
         pair = get_pair(args.pair, params or None)
@@ -187,6 +194,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_order(args.order)
     if args.pair and args.pair != "all":
         get_pair(args.pair)  # an unknown name is a usage error
     kwargs = {}

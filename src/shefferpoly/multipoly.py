@@ -65,17 +65,22 @@ def _reduced(nums: dict[Exponent, int], den: int) -> Num:
     return nums, den
 
 
-def _sum(images: Iterable[tuple[int, Num]], den: int = 1) -> Num:
+def _sum(images: list[tuple[int, Num]], den: int = 1) -> Num:
     """The sum of n * (nums/d) over (n, (nums, d)) in images, divided by den
-    (> 0): each image is scaled into one accumulator over the common
-    denominator, with one ``common // d`` per image."""
-    scaled = [(n, nums, d) for n, (nums, d) in images if n and nums]
-    common = lcm(*[d for _, _, d in scaled])
+    (> 0): one pass over the list finds the common denominator, a second
+    scales each image into one accumulator over it.  The list is read as it
+    is, never copied or filtered."""
+    common = 1
+    for _, (_, d) in images:
+        if common % d:
+            common = lcm(common, d)
     acc: dict[Exponent, int] = {}
-    for n, nums, d in scaled:
-        m = n * (common // d)
-        for e, k in nums.items():
-            acc[e] = acc.get(e, 0) + k * m
+    get = acc.get
+    for n, (nums, d) in images:
+        if n:
+            m = n * (common // d)
+            for e, k in nums.items():
+                acc[e] = get(e, 0) + k * m
     return _reduced(acc, den * common)
 
 
@@ -349,7 +354,7 @@ class MultiPoly:
 def lincomb(parts: Iterable[tuple[int, int, MultiPoly]]) -> MultiPoly:
     """sum (a/b) * p over (a, b, p) triples with integers a and b > 0, the
     ratio not necessarily reduced, in integers over one common denominator."""
-    return _wrap(_sum((a, (p._nums, b * p._den)) for a, b, p in parts))
+    return _wrap(_sum([(a, (p._nums, b * p._den)) for a, b, p in parts]))
 
 
 def _lift(v) -> "MultiPoly":

@@ -39,7 +39,14 @@ Images, and every intermediate value inside a composite, are in the
 polynomial's own representation: integer numerators over one denominator,
 reduced by their gcd (``multipoly.Num``).  A linear combination of whole
 images is summed in one accumulator by ``multipoly._sum``, single scaled
-monomials by ``multipoly._collect``.  ``LinOp.apply`` is the one linear
+monomials by ``multipoly._collect``.  ``_sum`` takes a list of (scale,
+image) pairs and reads it as it is, once for the common denominator and
+once to accumulate, so every caller builds that list once
+(``multipoly.lincomb`` too): ``LinOp._images_over`` appends each scaled
+image of a polynomial straight into the caller's list, and
+``commutator_check`` puts both sides of one test monomial, and
+``LinOp.residual`` the image and the subtracted polynomial, into one list
+and one ``_sum``.  ``LinOp.apply`` is the one linear
 extension, and there is no conversion at its boundary: it hands the
 polynomial's fields to the kernel and wraps the result as it is.  Images
 are memoized, so an operator applied to many polynomials (the raising and
@@ -76,9 +83,11 @@ polynomial it acts on, nested in a composite or not: once on the whole
 polynomial when it has several monomials, since the bound of a sum can
 exceed each monomial's own (x^5 + y^5 under a series in d/dx d/dy needs
 five terms, x^5 and y^5 none).  Every image of one monomial is read
-through ``LinOp._image_at``; on a single-monomial input it skips the
-check exactly when there is no explicit cutoff and the monomial is
-already in the memo.  That is sound: an image enters a memo only after
+through ``LinOp._image_at``, or read directly from the memo by
+``LinOp._images_over`` exactly where ``_image_at`` would return the hit
+as it is; on a single-monomial input the check is skipped exactly when
+there is no explicit cutoff and the monomial is already in the memo.
+That is sound: an image enters a memo only after
 the check passed on a polynomial containing it; a memo of a series with
 no explicit cutoff is shared only by series with none, whose key holds all
 their h_k (so their order) and the base (so the lowered variables); and a
@@ -233,13 +242,25 @@ class LinOp:
             img = memo[e] = self._fill(self, e)
         return img
 
-    def _images_over(self, terms: Mapping[Exponent, int]) -> list[tuple[int, Num]]:
-        """(n, image of x^e) for every term n x^e of a polynomial, after
-        ``_admit`` on the whole polynomial."""
+    def _images_over(self, terms: Mapping[Exponent, int], c: int,
+                     out: list[tuple[int, Num]]) -> None:
+        """Append (c n, image of x^e) to ``out`` for every term n x^e of a
+        polynomial, after ``_admit`` on the whole polynomial.
+
+        A memo hit is read directly when ``_image_at`` would return it as it
+        is; a miss, a weighted shift and an operator that ``_recheck_hits``
+        go through ``_image_at``, so the admission rules are its own."""
         whole = len(terms) != 1
         if whole:
             self._admit(terms)
-        return [(n, self._image_at(e, whole)) for e, n in terms.items()]
+        if self.shift or self._recheck_hits:
+            for e, n in terms.items():
+                out.append((c * n, self._image_at(e, whole)))
+            return
+        get = self._images.get
+        for e, n in terms.items():
+            img = get(e)
+            out.append((c * n, self._image_at(e, whole) if img is None else img))
 
     def _act(self, terms: dict[Exponent, int], den: int) -> Num:
         """This operator applied to sum_e terms[e] x^e / den."""
@@ -250,7 +271,8 @@ class LinOp:
                 if s is not None:
                     parts.append((s[0], n * s[1], s[2]))
             return _collect(parts, den)
-        images = self._images_over(terms)
+        images: list[tuple[int, Num]] = []
+        self._images_over(terms, 1, images)
         if den == 1 and len(images) == 1 and images[0][0] == 1:
             return images[0][1]  # polynomial fields are never mutated
         return _sum(images, den)
@@ -260,7 +282,8 @@ class LinOp:
 
     def residual(self, p: MultiPoly, c: int, q: MultiPoly) -> MultiPoly:
         """self(p) - c q, with q summed into the accumulator of p's images."""
-        images = self._images_over(p._nums)
+        images: list[tuple[int, Num]] = []
+        self._images_over(p._nums, 1, images)
         images.append((-c * p._den, (q._nums, q._den)))
         return _wrap(_sum(images, p._den))
 
@@ -677,13 +700,18 @@ def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> Check:
     if test_degree < 0:
         raise ValueError("the commutator test degree must be >= 0")
     for e in _exponents_up_to(test_degree):
+        # a(b(e)) - b(a(e)) = (ad * sum ab - bd * sum ba) / (ad * bd), read
+        # in the order b(e), a over it, a(e), b over it; the ab images are
+        # scaled by ad once a(e) is read
         bt, bd = b._image_at(e)
-        ab = a._images_over(bt)
+        images: list[tuple[int, Num]] = []
+        a._images_over(bt, 1, images)
+        split = len(images)
         at, ad = a._image_at(e)
-        ba = b._images_over(at)
-        # a(b(e)) - b(a(e)) = (ad * sum ab - bd * sum ba) / (ad * bd)
-        got = _sum([(n * ad, img) for n, img in ab] + [(-n * bd, img) for n, img in ba],
-                   ad * bd)
+        if ad != 1:
+            images[:split] = [(n * ad, img) for n, img in images[:split]]
+        b._images_over(at, -bd, images)
+        got = _sum(images, ad * bd)
         if got != ({e: 1}, 1):
             return Check("operators", "commutator", False,
                          lambda: f"FAIL at {_term(e)}: commutator gives {_wrap(got)}",

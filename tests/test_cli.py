@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, determinism, golden outputs."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -162,6 +163,28 @@ def test_verify_max_n_zero_is_accepted(capsys, suite):
     assert len(SUITES) == 9
     assert main(["verify", "--suite", suite, "--max-n", "0"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    *[["verify", "--suite", suite] for suite in sorted(SUITES)],
+    ["verify", "--suite", "all"],
+    *[["expand", "--pair", "laguerre", "--kind", kind, "--n", "0"]
+      for kind in ("S", "R", "sheffer")],
+], ids=lambda argv: "-".join(argv[::2]))
+def test_negative_order_is_one_usage_error_line(capsys, argv):
+    # suites that never read the order used to pass and report it
+    assert main(argv + ["--order", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --order must be >= 0\n"
+
+
+def test_monomiality_scale_run_matches_its_recorded_digest():
+    # the path where a settled verdict skips the most operator work
+    code, out, err = run_cli("verify", "--suite", "monomiality", "--max-n", "12",
+                             "--order", "16", "--format", "json")
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == (GOLDEN / "monomiality_n12_o16.sha256").read_text().strip()
 
 
 def test_package_runs_as_module():

@@ -19,6 +19,8 @@ from shefferpoly import (
     sheffer_poly,
     theta_operator,
 )
+from shefferpoly.checks import Check, compare
+from shefferpoly.operators import commutator_check
 from shefferpoly.suites import core_checks
 
 X = MultiPoly.var("x")
@@ -205,6 +207,114 @@ def test_r_rows_fail_when_theta_loses_its_sign(monkeypatch):
     s_rows = [c for c in rows if "S-kind" in c.name]
     assert len(r_rows) == 28 and not any(c.passed for c in r_rows)
     assert len(s_rows) == 28 and all(c.passed for c in s_rows)
+
+
+def _reference_monomiality(family, max_n):
+    """The records of the full loop: every identity at every n, through
+    ``M.apply``, ``P.apply`` and ``M.residual``, with no verdict settled
+    early."""
+    variants, norms = ((("printed",), ("egf",)) if family.kind == "S"
+                       else (("printed", "theta"), ("egf", "stored")))
+    weighted = {"egf": family.egf_member, "stored": family.member}
+    out = []
+    for vname in variants:
+        M, P = family.raising_operator(vname), family.lowering_operator(vname)
+        for n in range(max_n + 1):
+            mn = family.egf_member(n)
+            up, down = M.apply(mn), P.apply(mn)
+            for norm in norms:
+                c = math.factorial(n) if norm == "stored" else 1
+                at = weighted[norm]
+                out.append(compare("monomiality", f"raising/{vname}/{norm}",
+                                   up * c, at(n + 1), n))
+                out.append(compare("monomiality", f"lowering/{vname}/{norm}",
+                                   down * c, at(n - 1) * n if n else MultiPoly.zero(), n))
+            out.append(compare("monomiality", f"diffeq/{vname}/egf",
+                               M.residual(down, n, mn), 0, n, "residual {}"))
+        degree = min(8, family.order - 1)
+        com = commutator_check(P, M, degree)
+        out.append(Check("monomiality", f"commutator/{vname}/egf",
+                         com.passed, com.detail, degree))
+    return out
+
+
+def _verdicts(checks):
+    verdicts = {}
+    for c in checks:
+        verdicts[c.name] = verdicts.get(c.name, True) and c.passed
+    return verdicts
+
+
+def _first_failures(checks):
+    """The first failing record of each name, and of all of them."""
+    firsts = {}
+    for c in checks:
+        if not c.passed:
+            firsts.setdefault(c.name, c)
+            firsts.setdefault(None, c)
+    return firsts
+
+
+def _no_fault(monkeypatch):
+    pass
+
+
+def _deriv_off_by_one(monkeypatch):
+    from test_operators import _off_by_one_deriv
+
+    from shefferpoly import operators
+
+    monkeypatch.setattr(operators.Deriv, "image", _off_by_one_deriv(lambda k: True))
+
+
+def _theta_without_sign(monkeypatch):
+    from shefferpoly import mixed
+    from shefferpoly.operators import compose, mul_var
+
+    monkeypatch.setattr(mixed, "theta_operator",
+                        lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
+
+
+@pytest.mark.parametrize("plant", [_no_fault, _deriv_off_by_one, _theta_without_sign],
+                         ids=["correct", "deriv-off-by-one", "theta-sign"])
+@pytest.mark.parametrize("pair,kind", [("hahn", "S"), ("laguerre", "R")])
+def test_a_failed_identity_gets_no_further_record(monkeypatch, plant, pair, kind):
+    plant(monkeypatch)
+    family = fam(get_pair(pair), kind, 2, 9)
+    checks = family.verify_monomiality(6)
+    failed = set()
+    for c in checks:
+        assert c.name not in failed, f"{c.name} n={c.n} follows its failing record"
+        if not c.passed:
+            failed.add(c.name)
+    # settling a verdict early changes no verdict and no first failure
+    full = _reference_monomiality(family, 6)
+    assert _verdicts(checks) == _verdicts(full)
+    assert _first_failures(checks) == _first_failures(full)
+    assert [c for c in full if c.name not in failed] == [
+        c for c in checks if c.name not in failed]
+
+
+def test_monomiality_suite_applies_each_operator_only_where_read(monkeypatch):
+    """Work-count guard: the printed R-kind variants fail every raising,
+    lowering and diffeq identity by n <= 2, and no operator is applied to
+    a member after that (1,512 applications when every n was applied)."""
+    from shefferpoly import operators
+    from shefferpoly.suites import suite_monomiality
+
+    calls = 0
+    apply = operators.LinOp.apply
+
+    def counted(self, p):
+        nonlocal calls
+        calls += 1
+        return apply(self, p)
+
+    monkeypatch.setattr(operators, "_SHIFT_MEMOS", {})  # fresh memos, so the count repeats
+    monkeypatch.setattr(operators.LinOp, "apply", counted)
+    checks = suite_monomiality(order=12, max_n=8)
+    assert checks and all(c.passed for c in checks)
+    assert 0 < calls <= 1_148
 
 
 def test_monomiality_is_reproducible():
