@@ -15,6 +15,8 @@ timestamps appear in any payload.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -79,8 +81,11 @@ def _parse_n_range(text: str) -> list[int]:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write --out {out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -96,14 +101,16 @@ def cmd_list(args) -> int:
     if args.format == "json":
         text = json.dumps({"pairs": rows}, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        lines = ["name,family,params,normalization,associated,claimed_A,claimed_H"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["name", "family", "params", "normalization", "associated",
+                         "claimed_A", "claimed_H"])
         for m in rows:
             params = ";".join(f"{k}={v}" for k, v in sorted(m["params"].items()))
-            lines.append(
-                f"{m['name']},{m['family']},{params},{m['normalization']},"
-                f"{str(m['associated']).lower()},"
-                f"{str(m['claimed']['A']).lower()},{str(m['claimed']['H']).lower()}")
-        text = "\n".join(lines) + "\n"
+            flags = m["associated"], m["claimed"]["A"], m["claimed"]["H"]
+            writer.writerow([m["name"], m["family"], params, m["normalization"],
+                             *(str(b).lower() for b in flags)])
+        text = buf.getvalue()
     else:
         lines = []
         for m in rows:

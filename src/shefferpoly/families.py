@@ -35,10 +35,10 @@ same representation, and a member is one integer linear combination of
 them (``multipoly.lincomb``) against the numerators and denominators of
 the matrix entries, with the weight folded into each entry; no
 ``Fraction`` is built on the way.  The phi_k of one Phi are computed once
-per truncation order and kept in ``pairs._MEMO``; any n <= order reads its
+per truncation order in the ``memo`` store; any n <= order reads its
 phi_0..phi_n from that one list.  The named families (``leghp_member``,
 ``gould_hopper``, ``legendre_S``/``legendre_R``, ``sheffer_poly``) memoize
-each member per n, so a member no caller asks for is never built.
+each member once per n for every order >= n, so none is built unasked.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .memo import memo
 from .multipoly import MultiPoly, as_poly, lincomb
-from .pairs import get_pair, memo
+from .pairs import get_pair
 from .series import OrderTooSmall, Series
 
 _X = MultiPoly.var("x")
@@ -179,16 +180,16 @@ def family_member(pair, factors, n: int, order: int, weight: int | Fraction) -> 
 
 
 def _member(key, pair, factors, order: int, power: int, n: int) -> MultiPoly:
-    """(n!)^power * [t^n] A(t) Phi(H(t)), memoized under key + (n,); the
-    matrix and the phi_k are read once per family key."""
+    """(n!)^power * [t^n] A(t) Phi(H(t)), memoized under key + (n,) for every
+    order >= n; the matrix and the phi_k are read once per (key, order)."""
     if n < 0:
         raise ValueError(f"member index must be >= 0, got {n}")
     if n > order:
         raise OrderTooSmall(f"member {n} beyond truncation order {order}")
 
     def make():
-        cols, phi = memo(key, lambda: (sheffer_matrix(pair, order),
-                                       phi_coefficients(factors, order)))
+        cols, phi = memo((key, order), lambda: (sheffer_matrix(pair, order),
+                                                phi_coefficients(factors, order)))
         return _coefficient(cols, phi, n, math.factorial(n) ** power)
 
     return memo(key + (n,), make)
@@ -207,7 +208,7 @@ def leghp_phi(kind: str, r: int) -> tuple:
 def leghp_member(pair, kind: str, r: int, n: int, order: int) -> MultiPoly:
     """Member n of a pair's S- or R-kind hybrid family, at weight n! (S)
     or (n!)^2 (R)."""
-    key = ("leghp", pair.name, pair.params, kind, r, order)
+    key = ("leghp", pair.name, pair.params, kind, r)
     power = 1 if kind == "S" else 2
     return _member(key, pair, leghp_phi(kind, r), order, power, n)
 
@@ -224,21 +225,21 @@ def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
         raise ValueError("Gould-Hopper order must be >= 1")
     order = n if order is None else order
     phi = (exp_factor(_X), exp_factor(_Y, s))
-    return _member(("gould-hopper", s, order), _IDENTITY, phi, order, 1, n)
+    return _member(("gould-hopper", s), _IDENTITY, phi, order, 1, n)
 
 
 def legendre_S(n: int, order: int | None = None) -> MultiPoly:
     """S_n(x, y) from exp(y t) C_0(-x t^2)."""
     order = n if order is None else order
     phi = (exp_factor(_Y), c0_compose(-_X, 2))
-    return _member(("legendre-S", order), _IDENTITY, phi, order, 1, n)
+    return _member(("legendre-S",), _IDENTITY, phi, order, 1, n)
 
 
 def legendre_R(n: int, order: int | None = None) -> MultiPoly:
     """R_n(x, y): the (n!)^2-scaled t^n coefficient of C_0(x t) C_0(-y t)."""
     order = n if order is None else order
     phi = (c0_compose(_X), c0_compose(-_Y))
-    return _member(("legendre-R", order), _IDENTITY, phi, order, 2, n)
+    return _member(("legendre-R",), _IDENTITY, phi, order, 2, n)
 
 
 def leghp_S(n: int, r: int, order: int | None = None) -> MultiPoly:
@@ -271,7 +272,7 @@ def sheffer_poly(pair, n: int, order: int | None = None) -> MultiPoly:
     x^3 - 3*x^2 + 2*x
     """
     order = max(n, 1) if order is None else order
-    key = ("sheffer", pair.name, pair.params, order)
+    key = ("sheffer", pair.name, pair.params)
     return _member(key, pair, (exp_factor(_X),), order, 1, n)
 
 

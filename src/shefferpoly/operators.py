@@ -55,15 +55,15 @@ commutator test monomial) computes the image of each monomial once.  The
 memo has one of two lifetimes:
 
 * A weighted shift, and an ``OpSeries`` over a weighted-shift base, shares
-  one memo with every operator of the same structure, for the life of the
-  process.  A leaf's structure is its class, that class's ``image``
-  function and its argument (the variable, the scale, or the polynomial);
-  a shift ``Compose``'s structure is its parts'; an ``OpSeries``'s is the
-  class's ``_image`` function, the series numerators and denominator it
-  reads, and its base's structure.  Every family's d/dy, Theta, f(d/dy)
-  or (1/f')(Theta) computes each image once, and a replaced ``image`` or
-  ``OpSeries._image`` (a planted fault) gets a fresh memo in every
-  operator built after it.
+  one memo with every operator of the same structure, kept in the ``memo``
+  store until ``memo.clear()``.  A leaf's structure is its class, that
+  class's ``image`` function and its argument (the variable, the scale, or
+  the polynomial); a shift ``Compose``'s structure is its parts'; an
+  ``OpSeries``'s is the class's ``_image`` function, the series numerators
+  and denominator it reads, its cutoff and its base's structure.  Every
+  family's d/dy, Theta, f(d/dy) or (1/f')(Theta) computes each image once,
+  and a replaced ``image`` or ``OpSeries._image`` (a planted fault) gets a
+  fresh memo in every operator built after it.
 * Every other operator (an ``OpSeries`` over any other base, ``OpSum``, a
   ``Compose`` that is not a shift, a many-term ``MulPoly``) keeps its own
   memo, since its images depend on its whole tree; the memo is freed with
@@ -82,20 +82,14 @@ An operator series checks its cutoff (``OpSeries._admit``) on every
 polynomial it acts on, nested in a composite or not: once on the whole
 polynomial when it has several monomials, since the bound of a sum can
 exceed each monomial's own (x^5 + y^5 under a series in d/dx d/dy needs
-five terms, x^5 and y^5 none).  Every image of one monomial is read
-through ``LinOp._image_at``, or read directly from the memo by
-``LinOp._images_over`` exactly where ``_image_at`` would return the hit
-as it is; on a single-monomial input the check is skipped exactly when
-there is no explicit cutoff and the monomial is already in the memo.
-That is sound: an image enters a memo only after
-the check passed on a polynomial containing it; a memo of a series with
-no explicit cutoff is shared only by series with none, whose key holds all
-their h_k (so their order) and the base (so the lowered variables); and a
-whole polynomial's bound is never below one of its monomials'.  With an
-explicit cutoff the check runs on every read, because two series of
-different orders can share a key: (1, 1, 1) is what both
-[1, 1, 1, 0, 0, 0] at cutoff 2 and [1, 1, 1] at cutoff 4 read, and only
-the second must refuse.
+five terms, x^5 and y^5 none), and on a single monomial only when it is
+not in the memo (``LinOp._image_at``).  That is sound: an image enters a
+memo only after the check passed on a polynomial containing it, a whole
+polynomial's bound is never below one of its monomials', and the key of a
+shared memo fixes the verdict on each monomial.  With no cutoff, the h_k
+in the key fix the series order and the base's key the lowered variables;
+with a cutoff c, the key holds c and the h_k read, and the series refuses
+exactly when fewer than c + 1 of them exist.
 """
 
 from __future__ import annotations
@@ -105,6 +99,7 @@ from math import gcd
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .checks import Check, compare
+from .memo import memo
 from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, Num, _collect, _sum, _wrap, as_poly
 from .series import OrderTooSmall, Series
 
@@ -139,11 +134,6 @@ Shift = tuple[Exponent, int, int] | None
 
 _MISSING = object()
 
-# operator structure -> its memo, for the life of the process: a leaf's
-# key is (class, image function, argument), a shift Compose's its parts',
-# an OpSeries's (class, _image function, numerators, denominator, base key)
-_SHIFT_MEMOS: dict[tuple, dict[Exponent, Shift | Num]] = {}
-
 
 def _term(e: Exponent, n: int = 1, d: int = 1) -> MultiPoly:
     """n/d times the monomial with exponents e (zero when n is 0); n/d is
@@ -157,10 +147,10 @@ def _bump(e: Exponent, i: int, step: int) -> Exponent:
 
 def _shift_of(op: "LinOp", e: Exponent) -> Shift:
     """A weighted shift's memoized image of x^e."""
-    memo = op._images
-    s = memo.get(e, _MISSING)
+    images = op._images
+    s = images.get(e, _MISSING)
     if s is _MISSING:
-        s = memo[e] = op._shift(e)
+        s = images[e] = op._shift(e)
     return s
 
 
@@ -174,13 +164,11 @@ class LinOp:
     the linear extension, written once here: each image is computed once
     per memo, by the ``_image`` (a leaf's: ``image``) the class had when the
     operator was built.  A weighted shift, and an ``OpSeries`` over one,
-    shares the memo of its structure with the whole process
-    (``_SHIFT_MEMOS``); every other operator keeps its own, which is freed
-    with the operator.
+    shares the memo of its structure, kept in the ``memo`` store; every
+    other operator keeps its own, which is freed with the operator.
     """
 
     shift = False
-    _recheck_hits = False  # whether _admit runs again on a memoized monomial
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls)
@@ -189,9 +177,9 @@ class LinOp:
         return self
 
     def _share(self, key: tuple) -> None:
-        """Make this operator read and fill the process-wide memo of ``key``."""
+        """Make this operator read and fill the shared memo of ``key``."""
         self._key = key
-        self._images = _SHIFT_MEMOS.setdefault(key, {})
+        self._images = memo(("images", key), dict)
 
     def _leaf(self, arg) -> None:
         """Share the memo of this leaf's class, ``image`` and argument; the
@@ -226,20 +214,19 @@ class LinOp:
 
         Every read of one image as (numerators, denominator) goes through
         here; only the weighted-shift paths read ``_shift_of`` directly.
-        ``_admit`` runs on {e} first, unless the caller has ``admitted`` a
-        whole polynomial with e in it, or e is already in the memo and this
-        operator does not ``_recheck_hits``: then it has passed before (see
-        the module docstring).
+        On a miss ``_admit`` runs on {e} first, unless the caller has
+        ``admitted`` a whole polynomial with e in it; a hit has passed it
+        before (see the module docstring).
         """
         if self.shift:
             s = _shift_of(self, e)
             return ({s[0]: s[1]}, s[2]) if s is not None else ({}, 1)
-        memo = self._images
-        img = memo.get(e)
-        if not admitted and (img is None or self._recheck_hits):
-            self._admit((e,))
+        images = self._images
+        img = images.get(e)
         if img is None:
-            img = memo[e] = self._fill(self, e)
+            if not admitted:
+                self._admit((e,))
+            img = images[e] = self._fill(self, e)
         return img
 
     def _images_over(self, terms: Mapping[Exponent, int], c: int,
@@ -247,13 +234,12 @@ class LinOp:
         """Append (c n, image of x^e) to ``out`` for every term n x^e of a
         polynomial, after ``_admit`` on the whole polynomial.
 
-        A memo hit is read directly when ``_image_at`` would return it as it
-        is; a miss, a weighted shift and an operator that ``_recheck_hits``
-        go through ``_image_at``, so the admission rules are its own."""
+        A memo hit is read directly; a miss and a weighted shift go through
+        ``_image_at``, so the admission rules are its own."""
         whole = len(terms) != 1
         if whole:
             self._admit(terms)
-        if self.shift or self._recheck_hits:
+        if self.shift:
             for e, n in terms.items():
                 out.append((c * n, self._image_at(e, whole)))
             return
@@ -544,34 +530,29 @@ class OpSeries(LinOp):
     polynomial.  Otherwise an explicit ``cutoff`` must be supplied.  Every
     application, nested in a composite or not, checks that cutoff against
     the series order on the whole polynomial it acts on first (``_admit``),
-    except on one monomial that an earlier check has already admitted
-    (see the module docstring).  The image
-    of one monomial e sums h_k B^k e until the power vanishes (or through
-    the explicit cutoff).  Over a weighted-shift base each B^k e is one
+    except on one monomial already in its memo (see the module docstring).
+    The image of one monomial e sums h_k B^k e until the power vanishes
+    (or through the explicit cutoff).  Over a weighted-shift base each B^k e is one
     monomial W_k(e) x^(e + k delta), read step by step from B's memo; over
     any other base each power is B applied to the previous one.  The h_k
     are read as the series stores them, integer numerators over its one
     denominator, so every term of an image is an integer ratio.
 
-    Over a weighted-shift base the images depend only on the h_k and the
-    base's structure, so the memo is shared by structure like a shift's:
-    the key is the ``_image`` this operator fills it with, the h_k, whether
-    the cutoff is implicit and the base's key.  Over any other base the
-    memo is the operator's own.
+    Over a weighted-shift base the memo is shared by structure like a
+    shift's, under the ``_image`` this operator fills it with, the h_k, the
+    cutoff and the base's key; over any other base it is the operator's own.
     """
 
     def __init__(self, series: Series, base: LinOp, cutoff: int | None = None):
         self.series = series
         self.base = base
         self.cutoff = cutoff
-        self._recheck_hits = cutoff is not None
         self._lowered = _lowered(base.deltas())
         # h_k = _hs[k] / _hden
         self._hs = series._nums if cutoff is None else series._nums[: cutoff + 1]
         self._hden = series._den
         if base.shift:
-            self._share((type(self), self._fill, self._hs, self._hden, cutoff is None,
-                         base._key))
+            self._share((type(self), self._fill, self._hs, self._hden, cutoff, base._key))
 
     def _admit(self, exps: Collection[Exponent]) -> None:
         k_max = self.cutoff

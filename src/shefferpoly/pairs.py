@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from .memo import memo
 from .series import Series
 
 Params = dict[str, Fraction]
@@ -57,19 +58,6 @@ _MARGIN = 2
 # the largest exact constant power a builder computes, in bits: beyond it a
 # parameter such as peters' mu = 10^30 would run without bound
 _MAX_POWER_BITS = 1 << 20
-
-# the package's one memo: every derived value (resolved pairs, Sheffer
-# matrices, family members) is computed once per process and shared
-_MEMO: dict = {}
-
-
-def memo(key, make):
-    """The value stored under key, computed by make() on first use."""
-    got = _MEMO.get(key)
-    if got is None:
-        got = _MEMO[key] = make()
-    return got
-
 
 def _t(order: int) -> Series:
     return Series.t(order)

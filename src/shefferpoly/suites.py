@@ -233,9 +233,7 @@ def suite_reductions(order: int = DEFAULT_ORDER, max_n: int = 6) -> list[Check]:
               get_pair("bernoulli2")]
     for pair in sample:
         for rid, recipe in sorted(REDUCTIONS.items()):
-            r = recipe.requires_r if recipe.requires_r is not None else (
-                3 if rid == "ex11" else 2)
-            fam = MixedFamily(pair, recipe.kind, r, order)
+            fam = MixedFamily(pair, recipe.kind, recipe.requires_r or 2, order)
             out.append(first_failure(
                 "reductions", f"{pair.name}/{rid}",
                 (fam.reduce(rid, n) for n in range(max_n + 1)), _at_n))

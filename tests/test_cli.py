@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, determinism, golden outputs."""
 
+import csv
 import hashlib
 import io
 import json
@@ -254,6 +255,27 @@ def test_out_flag_writes_file(tmp_path):
     assert main(["expand", "--pair", "identity", "--n", "0..2",
                  "--format", "csv", "--out", str(target)]) == 0
     assert target.read_text().startswith("n,polynomial")
+
+
+@pytest.mark.parametrize("args", [
+    ["list"],
+    ["expand", "--pair", "identity", "--n", "0..2"],
+    ["verify", "--suite", "crofton"],
+])
+@pytest.mark.parametrize("where", ["missing dir", "a directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, args, where, capsys):
+    target = str(tmp_path / "missing" / "out.txt" if where == "missing dir" else tmp_path)
+    assert main(args + ["--out", target]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write --out {target}: ")
+
+
+def test_list_csv_rows_parse_into_seven_fields(capsys):
+    assert main(["list", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 15 and all(len(row) == 7 for row in rows)
+    assert rows[1][1] == "generalized Hermite H_{n,k,nu}"
 
 
 @pytest.mark.parametrize("golden,args", [

@@ -3,6 +3,8 @@ pair catalog's closed-form consistency checks."""
 
 import io
 import math
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
@@ -168,14 +170,44 @@ def test_order_too_small():
         leghp_S(9, 2, 5)
 
 
-def test_verify_all_builds_only_the_hybrid_members_it_reads(monkeypatch):
+def test_members_are_memoized_once_for_every_order(fresh_memo):
+    assert leghp_S(5, 2, 8) is leghp_S(5, 2, 12)
+    assert legendre_R(4, 6) is legendre_R(4)
+    # a member cached at a larger order is still refused at a smaller one
+    leghp_S(9, 2, 12)
+    with pytest.raises(OrderTooSmall, match="^member 9 beyond truncation order 5$"):
+        leghp_S(9, 2, 5)
+
+
+def test_clearing_the_memo_returns_traced_memory_to_the_import_baseline():
+    script = """if True:
+        import gc, tracemalloc
+        tracemalloc.start()
+        from shefferpoly import memo
+        from shefferpoly.suites import run_all, suite_monomiality
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        run_all(order=12)
+        suite_monomiality(order=16, max_n=12)
+        full = tracemalloc.get_traced_memory()[0]
+        memo.clear()
+        gc.collect()
+        print(base, full, tracemalloc.get_traced_memory()[0])
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    base, full, cleared = map(int, proc.stdout.split())
+    assert full - base > 5_000_000  # the store did hold the run's values
+    assert abs(cleared - base) < 50_000
+
+
+def test_verify_all_builds_only_the_hybrid_members_it_reads(monkeypatch, fresh_memo):
     """Work-count guard: the suites read S- and R-kind members 0..9 at
     order 12 (monomiality raises member 8 to 9), so members 10..12 are
     never built."""
-    from shefferpoly import families, pairs
+    from shefferpoly import families
     from shefferpoly.cli import main
 
-    monkeypatch.setattr(pairs, "_MEMO", {})
     hybrid = [families.phi_coefficients(families.leghp_phi(kind, r), 12)
               for kind in "SR" for r in (2, 3)]
     built = []

@@ -295,7 +295,7 @@ def test_a_failed_identity_gets_no_further_record(monkeypatch, plant, pair, kind
         c for c in checks if c.name not in failed]
 
 
-def test_monomiality_suite_applies_each_operator_only_where_read(monkeypatch):
+def test_monomiality_suite_applies_each_operator_only_where_read(monkeypatch, fresh_memo):
     """Work-count guard: the printed R-kind variants fail every raising,
     lowering and diffeq identity by n <= 2, and no operator is applied to
     a member after that (1,512 applications when every n was applied)."""
@@ -310,7 +310,6 @@ def test_monomiality_suite_applies_each_operator_only_where_read(monkeypatch):
         calls += 1
         return apply(self, p)
 
-    monkeypatch.setattr(operators, "_SHIFT_MEMOS", {})  # fresh memos, so the count repeats
     monkeypatch.setattr(operators.LinOp, "apply", counted)
     checks = suite_monomiality(order=12, max_n=8)
     assert checks and all(c.passed for c in checks)

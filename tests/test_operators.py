@@ -443,10 +443,11 @@ NESTED_SERIES_ERRORS = [
     (lambda: _memoized(OpSeries(Series.t(2).exp(), deriv("y")), [Y ** 2],
                        mul_poly(Y ** 2 + Y ** 3)),
      ONE, OrderTooSmall, "operator series of order 2 applied where 3 terms are needed"),
-    # one memo key, (1, 1, 1) over d/dy: the order-5 series at cutoff 2 fills
-    # it, and the order-2 series at cutoff 4 must still refuse
-    (lambda: _shares_memo_with(OpSeries(Series([1, 1, 1, 0, 0, 0]), deriv("y"), cutoff=2),
-                               OpSeries(Series([1, 1, 1]), deriv("y"), cutoff=4), Y ** 2),
+    # both read (1, 1, 1) over d/dy, but the cutoff keeps their memos apart: the
+    # order-5 series at cutoff 2 fills its own, and the order-2 series at
+    # cutoff 4 must still refuse
+    (lambda: _memo_apart_from(OpSeries(Series([1, 1, 1, 0, 0, 0]), deriv("y"), cutoff=2),
+                              OpSeries(Series([1, 1, 1]), deriv("y"), cutoff=4), Y ** 2),
      Y ** 2, OrderTooSmall, "operator series of order 2 applied where 4 terms are needed"),
     # the mirror: the order-2 series at cutoff 2 fills y^5's image, and the same
     # series with no cutoff, which needs 5 terms there, must still refuse
@@ -470,10 +471,10 @@ def _after_filling(first, second, p):
     return second
 
 
-def _shares_memo_with(first, second, p):
-    """second, once first has filled the memo the two share with p."""
+def _memo_apart_from(first, second, p):
+    """second, once first has filled its own memo with p."""
     first.apply(p)
-    assert second._images is first._images and next(iter(p._nums)) in second._images
+    assert second._images is not first._images and next(iter(p._nums)) in first._images
     return second
 
 
@@ -598,10 +599,10 @@ def test_commutator_sums_once_per_test_monomial(monkeypatch):
     assert calls == len(monomials_up_to(8)) == 165
 
 
-def test_monomiality_suite_bounds_few_degrees(monkeypatch):
-    """Work-count guard: an operator series re-reads a single memoized
-    monomial's degrees for its cutoff only under an explicit cutoff
-    (42,448 bounds when every nested application re-checked)."""
+def test_monomiality_suite_bounds_few_degrees(monkeypatch, fresh_memo):
+    """Work-count guard: an operator series never re-reads a single
+    memoized monomial's degrees for its cutoff (42,448 bounds when every
+    nested application re-checked)."""
     calls = 0
     bound = operators._degree_bound
 
@@ -610,11 +611,30 @@ def test_monomiality_suite_bounds_few_degrees(monkeypatch):
         calls += 1
         return bound(*args)
 
-    monkeypatch.setattr(operators, "_SHIFT_MEMOS", {})  # fresh memos, so the count repeats
     monkeypatch.setattr(operators, "_degree_bound", counted)
     checks = suite_monomiality(order=12, max_n=8)
     assert checks and all(c.passed for c in checks)
     assert 0 < calls <= 20_000
+
+
+def test_explicit_cutoff_series_admits_each_monomial_once(monkeypatch, fresh_memo):
+    """Work-count guard: a memoized monomial has passed the cutoff check,
+    so a repeat single-monomial apply does not run it again."""
+    calls = 0
+    admit = OpSeries._admit
+
+    def counted(self, exps):
+        nonlocal calls
+        calls += 1
+        return admit(self, exps)
+
+    monkeypatch.setattr(OpSeries, "_admit", counted)
+    for base in (deriv("y"), exp_generator([(1, deriv("y"))])):  # shared memo and own
+        op = OpSeries(Series.t(4).exp(), base, cutoff=3)
+        calls = 0
+        want = op.apply(Y ** 3)
+        assert calls == 1
+        assert all(op.apply(Y ** 3) == want for _ in range(3)) and calls == 1
 
 
 # -- memo lifetimes -------------------------------------------------------------------
