@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -77,6 +80,27 @@ def _parse_n_range(text: str) -> list[int]:
     if n < 0:
         raise CliError("--n must be >= 0")
     return [n]
+
+
+def _check_out(out_path: str | None) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any work and
+    without creating or truncating it: an existing file must be writable,
+    and a new one needs a writable directory."""
+    if not out_path:
+        return
+    try:
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if os.path.exists(out_path):
+            target, mode = out_path, os.W_OK
+        else:
+            target, mode = os.path.dirname(out_path) or ".", os.W_OK | os.X_OK
+            if not stat.S_ISDIR(os.stat(target).st_mode):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(target, mode):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise CliError(f"cannot write --out {out_path}: {exc.strerror or exc}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -302,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

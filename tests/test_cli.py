@@ -271,6 +271,38 @@ def test_unwritable_out_is_a_usage_error(tmp_path, args, where, capsys):
     assert err.startswith(f"error: cannot write --out {target}: ")
 
 
+def test_unwritable_out_fails_before_any_suite_runs(tmp_path, monkeypatch, capsys):
+    runs = 0
+
+    def counting(suite):
+        def run(*args, **kwargs):
+            nonlocal runs
+            runs += 1
+            return suite(*args, **kwargs)
+        return run
+
+    for name, suite in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, counting(suite))
+    target = str(tmp_path / "missing" / "out.txt")
+    assert main(["verify", "--suite", "all", "--out", target]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: cannot write --out {target}: "
+                                 "No such file or directory\n")
+    assert runs == 0
+
+
+@pytest.mark.parametrize("args,code", [
+    (["verify", "--suite", "crofton", "--pair", "hahn"], 2),  # refused after the work
+    (["expand", "--pair", "identity", "--n", "0..5", "--order", "3"], 3),
+])
+def test_failed_command_leaves_out_untouched(tmp_path, args, code, capsys):
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_text("earlier output\n")
+    assert main(args + ["--out", str(kept)]) == code
+    assert main(args + ["--out", str(new)]) == code
+    assert kept.read_text() == "earlier output\n" and not new.exists()
+
+
 def test_list_csv_rows_parse_into_seven_fields(capsys):
     assert main(["list", "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))

@@ -37,7 +37,7 @@ from shefferpoly import (
     substitute_operators,
     theta_operator,
 )
-from shefferpoly import operators
+from shefferpoly import mixed, operators
 from shefferpoly.multipoly import VARS
 from shefferpoly.operators import (
     LinOp,
@@ -522,6 +522,76 @@ def test_applied_value_does_not_alias_the_memo(name, make):
         assert make().apply(p).terms == want
 
 
+# -- read variables -------------------------------------------------------------------
+
+
+def _family_operators():
+    """(name, factory) of the raising and lowering operators of every kind
+    and variant."""
+    for pair, kind, variant in (("laguerre", "S", "printed"), ("hahn", "R", "theta"),
+                                ("hahn", "R", "printed")):
+        def fam(pair=pair, kind=kind):
+            return MixedFamily(get_pair(pair), kind, 2, 8)
+        yield (f"{pair}/{kind} {variant} M", lambda fam=fam, v=variant: fam().raising_operator(v))
+        yield (f"{pair}/{kind} {variant} P", lambda fam=fam, v=variant: fam().lowering_operator(v))
+
+
+_GENERATOR = exp_generator([(1, deriv("y")), (X, op_pow(deriv("y"), 2))])
+
+# every operator class, MulPoly with one term and many, and operator series
+# over shift and non-shift bases with and without a cutoff, some of which
+# refuse large monomials
+READS_CASES = EVERY_OPERATOR + [
+    ("op_series shift cutoff", lambda: OpSeries(Series.t(4).exp(), inv_deriv("x"), cutoff=3)),
+    ("op_series non-shift", lambda: OpSeries(Series.t(6).exp(), _GENERATOR)),
+    ("op_series non-shift cutoff",
+     lambda: OpSeries(Series.t(4).exp(), op_sum(mul_var("z"), deriv("y")), cutoff=3)),
+    ("compose with series", lambda: compose(mul_var("z"), OpSeries(Series.t(2).exp(), deriv("y")))),
+    ("op_series too short", lambda: OpSeries(Series.t(2).exp(), deriv("y"))),
+    ("op_series cutoff past order", lambda: OpSeries(Series.t(2).exp(), inv_deriv("y"), cutoff=4)),
+    ("op_series needs cutoff", lambda: OpSeries(Series.t(4).exp(), inv_deriv("y"))),
+] + list(_family_operators())
+
+
+DECLARED_READS = [
+    ("identity", identity, set()), ("scale", lambda: scale(3), set()),
+    ("mul_var", lambda: mul_var("z"), set()),
+    ("mul_poly monomial", lambda: mul_poly(3 * Z), set()),
+    ("mul_poly", lambda: mul_poly(X + Y * Z), set()),
+    ("deriv", lambda: deriv("y"), {1}), ("inv_deriv", lambda: inv_deriv("z"), {2}),
+    ("op_sum", lambda: op_sum(mul_var("x"), deriv("y"), inv_deriv("x")), {0, 1}),
+    ("compose", lambda: compose(mul_var("x"), deriv("z")), {2}),
+    ("op_series", lambda: OpSeries(Series.t(4).exp(), _GENERATOR), {1}),
+    ("theta", theta_operator, {0}),
+    ("S P", lambda: MixedFamily(get_pair("laguerre"), "S", 2, 8).lowering_operator(), {1}),
+    ("S M", lambda: MixedFamily(get_pair("laguerre"), "S", 2, 8).raising_operator(), {0, 1}),
+    ("R P", lambda: MixedFamily(get_pair("hahn"), "R", 2, 8).lowering_operator("theta"), {0}),
+    ("R M", lambda: MixedFamily(get_pair("hahn"), "R", 2, 8).raising_operator("theta"), {0, 1}),
+]
+
+
+@pytest.mark.parametrize("make,want", [c[1:] for c in DECLARED_READS],
+                         ids=[c[0] for c in DECLARED_READS])
+def test_declared_read_variables(make, want):
+    assert make().reads() == want
+
+
+def test_undeclared_operator_reads_every_variable():
+    assert LinOp.reads(deriv("y")) == {0, 1, 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([make for _, make in READS_CASES]),
+       st.tuples(*[st.integers(0, 4)] * 3), st.tuples(*[st.integers(0, 4)] * 3))
+def test_reads_is_sound(make, e, s):
+    """For a shift s off the read variables, op(x^(e + s)) = x^s op(x^e),
+    or both raise the same exception with the same message."""
+    s = tuple(0 if i in make().reads() else k for i, k in enumerate(s))
+    shifted = tuple(a + b for a, b in zip(e, s))
+    assert _outcome(lambda: make().apply(MultiPoly.monomial(shifted))) == _outcome(
+        lambda: MultiPoly.monomial(s) * make().apply(MultiPoly.monomial(e)))
+
+
 # -- the fused monomiality kernel ---------------------------------------------------------
 
 
@@ -580,23 +650,65 @@ def test_diffeq_residual_matches_apply_then_subtract():
     assert seen == 14 * 2 * 3 * 4
 
 
-def test_commutator_sums_once_per_test_monomial(monkeypatch):
-    """Work-count guard: a∘b(e) - b∘a(e) is one accumulator per monomial
-    (three, 495 in all, when each side was reduced on its own)."""
-    fam = MixedFamily(get_pair("laguerre"), "S", 2, 12)
-    P, M = fam.lowering_operator(), fam.raising_operator()
-    assert commutator_check(P, M, 8).passed  # fills the memos
-    calls = 0
+def _count_sums(monkeypatch):
+    """A counter of ``operators._sum`` calls, read as ``counter[0]``."""
+    counter = [0]
     total = operators._sum
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        counter[0] += 1
         return total(*args)
 
     monkeypatch.setattr(operators, "_sum", counted)
+    return counter
+
+
+def test_commutator_sums_once_per_test_monomial(monkeypatch):
+    """Work-count guard: a∘b(e) - b∘a(e) is one accumulator per monomial
+    tested (three, 495 in all, when each side was reduced on its own).
+    Neither operator reads z, so only the 45 z-free monomials of degree
+    <= 8 are tested (all 165 before)."""
+    fam = MixedFamily(get_pair("laguerre"), "S", 2, 12)
+    P, M = fam.lowering_operator(), fam.raising_operator()
+    assert commutator_check(P, M, 8).passed  # fills the memos
+    calls = _count_sums(monkeypatch)
     assert commutator_check(P, M, 8).passed
-    assert calls == len(monomials_up_to(8)) == 165
+    assert calls[0] == sum(not m.depends_on("z") for m in monomials_up_to(8)) == 45
+
+
+def test_commutator_skips_only_variables_neither_operator_reads(monkeypatch):
+    # z is read here, so z is tested: [d_z, z + z^2 d_z] = 1 + 2 z d_z
+    grow = op_sum(mul_var("z"), compose(mul_poly(Z ** 2), deriv("z")))
+    rep = commutator_check(deriv("z"), grow, 2)
+    assert not rep.passed and rep.witness == "FAIL at z: commutator gives 3*z"
+    # one accumulator per tested monomial: all 165 when the pair reads
+    # x, y and z, the 45 z-free ones when it reads only x and y
+    for b, tested in ((op_sum(mul_var("x"), compose(deriv("y"), deriv("z"))), 165),
+                      (op_sum(mul_var("x"), deriv("y")), 45)):
+        calls = _count_sums(monkeypatch)
+        assert commutator_check(deriv("x"), b, 8).passed
+        assert calls[0] == tested
+
+
+def test_monomiality_suite_sums_few_commutator_images(monkeypatch, fresh_memo):
+    """Work-count guard: the commutator rows of a fresh suite test only the
+    monomials free of z, which no family operator reads (13,442 ``_sum``
+    calls inside the commutator checks when every monomial was tested)."""
+    calls = _count_sums(monkeypatch)
+    inside = 0
+    check = mixed.commutator_check
+
+    def counted(*args):
+        nonlocal inside
+        before = calls[0]
+        rep = check(*args)
+        inside += calls[0] - before
+        return rep
+
+    monkeypatch.setattr(mixed, "commutator_check", counted)
+    checks = suite_monomiality(order=12, max_n=8)
+    assert checks and all(c.passed for c in checks)
+    assert 0 < inside <= 4000
 
 
 def test_monomiality_suite_bounds_few_degrees(monkeypatch, fresh_memo):
@@ -815,6 +927,15 @@ def deriv_fault_run():
     return proc.stdout
 
 
+def _failing_per_suite(report: str) -> dict[str, tuple[int, int]]:
+    """(failing, total) checks per suite of a JSON verify report."""
+    counts = {}
+    for c in json.loads(report)["checks"]:
+        failing, total = counts.get(c["suite"], (0, 0))
+        counts[c["suite"]] = (failing + (not c["pass"]), total + 1)
+    return counts
+
+
 # (failing, total) checks per suite under the fault; the verdicts were
 # first recorded from the whole-polynomial operator code this kernel replaced
 _DERIV_FAULT_COUNTS = {
@@ -827,11 +948,46 @@ _DERIV_FAULT_COUNTS = {
 def test_deriv_image_fault_reaches_every_composite(deriv_fault_run):
     digest = hashlib.sha256(deriv_fault_run.encode()).hexdigest()
     assert digest == (GOLDEN / "verify_all_o12_deriv_fault.sha256").read_text().strip()
-    counts = {}
-    for c in json.loads(deriv_fault_run)["checks"]:
-        failing, total = counts.get(c["suite"], (0, 0))
-        counts[c["suite"]] = (failing + (not c["pass"]), total + 1)
-    assert counts == _DERIV_FAULT_COUNTS
+    assert _failing_per_suite(deriv_fault_run) == _DERIV_FAULT_COUNTS
+
+
+# d/dy doubling its image of every monomial with a z in it: d/dy then reads
+# z, which breaks the translation lemma the commutator rows rest on
+_TRANSLATION_FAULT_RUN = """
+import sys
+from shefferpoly import operators
+from shefferpoly.cli import main
+
+image = operators.Deriv.image
+
+def doubled_off_z(self, e):
+    img = image(self, e)
+    return 2 * img if self.var == "y" and e[2] else img
+
+operators.Deriv.image = doubled_off_z
+sys.exit(main(["verify", "--suite", "all", "--format", "json", "--order", "12"]))
+"""
+
+# (failing, total) checks per suite under the fault, recorded when every
+# commutator test monomial was evaluated: all 28 S-kind monomiality rows
+# fail, at raising
+_TRANSLATION_FAULT_COUNTS = {
+    "biorthogonality": (0, 14), "crofton": (3, 24), "heat": (0, 16),
+    "integral": (0, 56), "inverse": (0, 24), "monomiality": (28, 56),
+    "operational": (56, 57), "oracle": (0, 5), "reductions": (0, 45),
+}
+
+
+def test_fault_outside_the_read_variables_keeps_its_verdicts():
+    proc = subprocess.run([sys.executable, "-c", _TRANSLATION_FAULT_RUN],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == (GOLDEN / "verify_all_o12_translation_fault.sha256").read_text().strip()
+    assert _failing_per_suite(proc.stdout) == _TRANSLATION_FAULT_COUNTS
+    assert all(c["witness"].startswith("raising n=")
+               for c in json.loads(proc.stdout)["checks"]
+               if c["suite"] == "monomiality" and not c["pass"])
 
 
 def test_deriv_image_fault_rows_show_their_own_first_failure(deriv_fault_run):
