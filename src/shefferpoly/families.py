@@ -162,15 +162,6 @@ def _coefficient(cols: tuple[Series, ...], phi: list[MultiPoly], n: int,
                    for k, col in enumerate(cols[: n + 1]))
 
 
-def expand(pair, factors, order: int, power: int = 0) -> tuple[MultiPoly, ...]:
-    """(n!)^power * [t^n] A(t) Phi(H(t)) for n = 0..order, Phi the product
-    of the factors."""
-    cols = sheffer_matrix(pair, order)
-    phi = phi_coefficients(factors, order)
-    return tuple(_coefficient(cols, phi, n, math.factorial(n) ** power)
-                 for n in range(order + 1))
-
-
 def family_member(pair, factors, n: int, order: int, weight: int | Fraction) -> MultiPoly:
     """weight * [t^n] A(t) Phi(H(t)) alone, without expanding other members."""
     if n > order:
@@ -257,7 +248,8 @@ def leghp_R(n: int, r: int, order: int | None = None) -> MultiPoly:
 
 def sheffer_series(pair, order: int) -> tuple[MultiPoly, ...]:
     """[t^n] A(t) exp(x H(t)), n = 0..order: the egf of a pair's Sheffer sequence."""
-    return expand(pair, (exp_factor(_X),), order)
+    return tuple(family_member(pair, (exp_factor(_X),), n, order, 1)
+                 for n in range(order + 1))
 
 
 def sheffer_poly(pair, n: int, order: int | None = None) -> MultiPoly:

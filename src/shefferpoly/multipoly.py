@@ -26,6 +26,11 @@ The operator kernel (``operators``) computes directly on these fields; the
 helpers below that take or return a ``Num`` pair, ``(numerators,
 denominator)``, are its interface.
 
+A scalar (a coefficient, a constant, a factor or divisor) is an ``int`` or
+a ``Fraction``; anything else, a float included, raises
+``series.NonScalarCoefficient``.  That rule, the binary power and the
+signed-term renderer are the ones ``series`` uses.
+
 The canonical term order used by ``str()`` and :func:`poly_latex` is graded
 lexicographic with x > y > z, highest total degree first.  Rationals render
 as ``p/q`` (or ``p`` when the denominator is 1); this rendering is the one
@@ -37,6 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
+
+from .series import _power, _ratio, _render_terms
 
 VARS = ("x", "y", "z")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -103,13 +110,6 @@ def _wrap(num: Num) -> "MultiPoly":
     p = object.__new__(MultiPoly)
     p._nums, p._den = num
     return p
-
-
-def _ratio(c) -> tuple[int, int]:
-    """(numerator, denominator) of an int or Fraction scalar."""
-    if not isinstance(c, (int, Fraction)):
-        c = Fraction(c)
-    return c.numerator, c.denominator
 
 
 class MultiPoly:
@@ -231,15 +231,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = MultiPoly.const(1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return _power(self, n, MultiPoly.const(1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
@@ -373,66 +365,21 @@ def as_poly(v) -> MultiPoly:
     return lifted
 
 
-def _monomial_str(exps: Exponent) -> str:
-    parts = []
-    for v, e in zip(VARS, exps):
-        if e == 1:
-            parts.append(v)
-        elif e > 1:
-            parts.append(f"{v}^{e}")
-    return "*".join(parts)
+def _monomial(exps: Exponent, power: str, times: str) -> str:
+    return times.join(v if e == 1 else power.format(v, e) for v, e in zip(VARS, exps) if e)
 
 
 def poly_str(p: MultiPoly) -> str:
     """Canonical plain-text rendering, e.g. ``y^2 + 2*x + 2*z``."""
-    if p.is_zero:
-        return "0"
-    pieces: list[str] = []
-    for exps, c in p.sorted_terms():
-        mono = _monomial_str(exps)
-        neg = c < 0
-        mag = -c if neg else c
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
+    return _render_terms((_monomial(e, "{}^{}", "*"), c) for e, c in p.sorted_terms())
 
 
 def _frac_latex(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+    """A nonnegative rational in LaTeX."""
+    return str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
 
 
 def poly_latex(p: MultiPoly) -> str:
     """LaTeX rendering in the same canonical term order."""
-    if p.is_zero:
-        return "0"
-    pieces: list[str] = []
-    for exps, c in p.sorted_terms():
-        mono = "".join(
-            v if e == 1 else f"{v}^{{{e}}}"
-            for v, e in zip(VARS, exps)
-            if e
-        )
-        neg = c < 0
-        mag = -c if neg else c
-        if not mono:
-            body = _frac_latex(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{_frac_latex(mag)}{mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
+    return _render_terms(((_monomial(e, "{}^{{{}}}", ""), c) for e, c in p.sorted_terms()),
+                         _frac_latex, "")

@@ -117,7 +117,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 from .checks import Check, compare
 from .memo import memo
 from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, Num, _collect, _sum, _wrap, as_poly
-from .series import OrderTooSmall, Series
+from .series import OrderTooSmall, Series, _ratio
 
 
 class OperatorError(ValueError):
@@ -356,7 +356,7 @@ class Scale(LinOp):
     shift = True
 
     def __init__(self, c):
-        self.c = Fraction(c)
+        self.c = Fraction(*_ratio(c))
         self._leaf(self.c)
 
     def image(self, e: Exponent) -> MultiPoly:

@@ -1,35 +1,36 @@
-"""Independent brute-force cross-checks for the series engine.
+"""Engine-vs-oracle cross-checks.
 
-Everything in this module recomputes values from scratch: the explicit
-finite sums for each special-case family row, a naive Cauchy-product
-convolution, and Lagrange inversion for compositional inverses.  The only
-imports from the engine's computational substrate are the two leaf value
-types (Fraction lives in the stdlib, MultiPoly here); the series module is
-deliberately not used, so a bug there cannot hide in the comparison.
+The independent side of every comparison is recomputed from scratch: the
+explicit finite sums of the special-case rows (``row_*``), a naive
+Cauchy-product convolution of coefficient rules, and Lagrange inversion
+for compositional inverses.  It uses integer factorials, exact rationals
+and ``MultiPoly`` arithmetic, and none of the engine's series, Sheffer
+matrix or operator code, so a bug there cannot hide in the comparison.
 
-``cross_validate`` pulls the engine route for the other side of each
-comparison and returns one :class:`~shefferpoly.checks.Check` per
-comparison, named by its description; a mismatch's witness renders both
-values.
+The engine side is the code the other suites run: the Gould-Hopper
+members, the identity pair's S- and R-kind members pushed through the
+reduction recipes registered in ``mixed.REDUCTIONS`` (looked up when a
+suite runs, so a fault in a recipe fails both the reductions suite and
+this one), family members of three products of Phi factors, and the
+Newton inverse of every catalog pair.
+
+``cross_validate`` runs one registered suite and returns one
+:class:`~shefferpoly.checks.Check` per comparison, named by its
+description; a mismatch's witness renders both values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
-from .checks import Check, compare
-from .multipoly import MultiPoly
 from . import families
-from .operators import (
-    compose,
-    deriv,
-    inv_deriv,
-    mul_var,
-    scale,
-    substitute_operators,
-)
+from .checks import Check, compare
+from .mixed import REDUCTIONS, MixedFamily
+from .multipoly import MultiPoly
+from .pairs import catalog, get_pair
 
 _X = MultiPoly.var("x")
 _Y = MultiPoly.var("y")
@@ -307,117 +308,53 @@ def _suite_ghp_vs_explicit(max_n: int) -> list[Check]:
     return out
 
 
-def _leghp_s_specialized(row: str, n: int, r: int, order: int) -> MultiPoly:
-    """The S-kind base member pushed through one row's substitution recipe."""
-    member = families.leghp_S(n, r, order)
-    if row == "I":
-        return member.substitute({"x": 0}).substitute({"y": _X, "z": _Y})
-    if row == "II":
-        return member.substitute({"z": 0})
-    if row == "III":
-        return substitute_operators(
-            member.substitute({"x": 0}), {"y": inv_deriv("x"), "z": _Y})
-    if row == "IV":
-        p = member.substitute({"x": 0}).substitute({"y": _X, "z": _Y})
-        return p.scale_monomials(lambda e: _fact(sum(e)))
-    if row == "V":
-        return substitute_operators(
-            member.substitute({"x": 0}), {"z": compose(scale(-1), inv_deriv("x"))})
-    if row == "VII":
-        return substitute_operators(
-            member.substitute({"x": 0}),
-            {"y": _X, "z": compose(mul_var("y"), deriv("y"), mul_var("y"))})
-    if row == "VIII":
-        return member.substitute({"x": 0}).substitute({"y": _X, "z": _Y})
-    if row == "IX":
-        return substitute_operators(
-            member.substitute({"x": 0}), {"y": inv_deriv("x"), "z": _Y})
-    if row == "X":
-        return member.substitute(
-            {"x": (_X * _X - 1) * Fraction(1, 4), "y": _X, "z": 0})
-    if row == "XI":
-        return substitute_operators(
-            member,
-            {"x": compose(mul_var("z"), deriv("z"), mul_var("z")),
-             "y": _X, "z": _Y})
-    raise UnknownRow(row)
+# Each row of the special-case table is (label, recipe id, r, explicit sum).
+# The engine side is member n of the identity pair's family of the recipe's
+# kind, pushed through the recipe registered in ``mixed.REDUCTIONS``, looked
+# up when the suite runs.  ``specialize`` reads the member but not r, so a
+# row may run a recipe at an r its ``reduce`` would refuse (row III at r = 3
+# through ex9).  The recipes in _IN_YZ leave a polynomial in (y, z), which
+# is renamed to the (x, y) of the explicit sum.
+_TABLE: list[tuple[str, str, int, Callable[[int], MultiPoly]]] = [
+    ("I (r=3)", "ex1", 3, lambda n: row_gould_hopper(n, 3)),
+    ("II (r=2)", "ex2", 2, row_legendre_type),
+    ("III (r=2)", "ex9", 2, lambda n: row_laguerre_type(n, 2)),
+    ("III (r=3)", "ex9", 3, lambda n: row_laguerre_type(n, 3)),
+    ("IV (r=2)", "ex4", 2, lambda n: row_chebyshev(n, 2) * _fact(n)),
+    ("IV (r=3)", "ex4", 3, lambda n: row_chebyshev(n, 3) * _fact(n)),
+    ("V (r=1)", "ex5", 1, row_laguerre),
+    ("VII (r=2)", "ex7", 2, lambda n: row_truncated_exponential(n, 2)),
+    ("VII (r=3)", "ex7", 3, lambda n: row_truncated_exponential(n, 3)),
+    ("VIII (r=2)", "ex8", 2, row_hermite),
+    ("IX (r=2)", "ex9", 2, row_hermite_type),
+    ("X (r=2)", "ex10", 2, row_legendre_P),
+    ("XI (r=3)", "ex11", 3, row_bell_type),
+    ("III (m=2)", "ex3r", 2, lambda n: row_laguerre_type(n, 2) * _fact(n)),
+    ("V (r=1)", "ex5r", 1, lambda n: row_laguerre(n) * _fact(n)),
+    ("VI", "ex6", 2, row_legendre_R),
+    ("IX (r=2)", "ex9r", 2, lambda n: row_hermite_type(n) * _fact(n)),
+    ("X (r=1)", "ex10r", 1, row_legendre_P),
+]
+_IN_YZ = ("ex1", "ex8")
 
 
-def _suite_leghp_s_vs_table(max_n: int) -> list[Check]:
-    order = max_n
-    cases: list[tuple[str, int, Callable[[int], MultiPoly]]] = [
-        ("I", 3, lambda n: row_gould_hopper(n, 3)),
-        ("II", 2, row_legendre_type),
-        ("III", 2, lambda n: row_laguerre_type(n, 2)),
-        ("III", 3, lambda n: row_laguerre_type(n, 3)),
-        ("IV", 2, lambda n: row_chebyshev(n, 2) * _fact(n)),
-        ("IV", 3, lambda n: row_chebyshev(n, 3) * _fact(n)),
-        ("V", 1, row_laguerre),
-        ("VII", 2, lambda n: row_truncated_exponential(n, 2)),
-        ("VII", 3, lambda n: row_truncated_exponential(n, 3)),
-        ("VIII", 2, row_hermite),
-        ("IX", 2, row_hermite_type),
-        ("X", 2, row_legendre_P),
-        ("XI", 3, row_bell_type),
-    ]
+def _suite_table(kind: str, max_n: int) -> list[Check]:
+    identity = get_pair("identity")
     out = []
-    for row, r, target in cases:
+    for label, rid, r, target in _TABLE:
+        recipe = REDUCTIONS[rid]
+        if recipe.kind != kind:
+            continue
+        fam = MixedFamily(identity, kind, r, max_n)
         for n in range(max_n + 1):
-            out.append(_compare(
-                f"S-kind base row {row} (r={r}) n={n}",
-                _leghp_s_specialized(row, n, r, order),
-                target(n),
-            ))
-    return out
-
-
-def _suite_leghp_r_vs_table(max_n: int) -> list[Check]:
-    order = max_n
-    out = []
-    for n in range(max_n + 1):
-        member = families.leghp_R(n, 2, order)
-        out.append(_compare(
-            f"R-kind base row III (m=2) n={n}",
-            member.substitute({"y": 0}).substitute({"z": _Y, "x": -_X}),
-            row_laguerre_type(n, 2) * _fact(n),
-        ))
-    for n in range(max_n + 1):
-        member = families.leghp_R(n, 1, order)
-        out.append(_compare(
-            f"R-kind base row V (r=1) n={n}",
-            member.substitute({"y": 0}).substitute({"z": _Y}),
-            row_laguerre(n) * _fact(n),
-        ))
-    for n in range(max_n + 1):
-        member = families.leghp_R(n, 2, order)
-        out.append(_compare(
-            f"R-kind base row VI n={n}",
-            member.substitute({"z": 0}),
-            row_legendre_R(n),
-        ))
-    for n in range(max_n + 1):
-        member = families.leghp_R(n, 2, order)
-        out.append(_compare(
-            f"R-kind base row IX (r=2) n={n}",
-            member.substitute({"x": 0}).substitute({"y": _X, "z": _Y}),
-            row_hermite_type(n) * _fact(n),
-        ))
-    for n in range(max_n + 1):
-        member = families.leghp_R(n, 1, order)
-        half = Fraction(1, 2)
-        out.append(_compare(
-            f"R-kind base row X (r=1) n={n}",
-            member.substitute(
-                {"x": (MultiPoly.const(1) - _X) * half,
-                 "y": (_X + 1) * half, "z": 0}),
-            row_legendre_P(n),
-        ))
+            got = recipe.specialize(fam, n)
+            if rid in _IN_YZ:
+                got = got.substitute({"y": _X, "z": _Y})
+            out.append(_compare(f"{kind}-kind base row {label} n={n}", got, target(n)))
     return out
 
 
 def _suite_series_vs_naive(max_n: int) -> list[Check]:
-    from .pairs import get_pair
-
     order = max_n
     identity = get_pair("identity")
     cases = [
@@ -433,16 +370,14 @@ def _suite_series_vs_naive(max_n: int) -> list[Check]:
     ]
     out = []
     for label, factors, rules in cases:
-        engine = families.expand(identity, factors, order)
         naive = oracle_series_product(rules, order)
         for n in range(order + 1):
-            out.append(_compare(f"{label}: [t^{n}]", engine[n], naive[n]))
+            engine = families.family_member(identity, factors, n, order, 1)
+            out.append(_compare(f"{label}: [t^{n}]", engine, naive[n]))
     return out
 
 
 def _suite_lagrange_vs_newton(max_n: int) -> list[Check]:
-    from .pairs import catalog
-
     # inversion needs order >= 1; coefficients 0..max_n are compared
     order = max(max_n, 1)
     out = []
@@ -461,8 +396,8 @@ def _suite_lagrange_vs_newton(max_n: int) -> list[Check]:
 
 _SUITES: dict[str, Callable[[int], list[Check]]] = {
     "ghp-vs-explicit": _suite_ghp_vs_explicit,
-    "leghpS-vs-table1": _suite_leghp_s_vs_table,
-    "leghpR-vs-table1": _suite_leghp_r_vs_table,
+    "leghpS-vs-table1": partial(_suite_table, "S"),
+    "leghpR-vs-table1": partial(_suite_table, "R"),
     "series-vs-naive-convolution": _suite_series_vs_naive,
     "lagrange-vs-newton": _suite_lagrange_vs_newton,
 }

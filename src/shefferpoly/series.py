@@ -15,7 +15,11 @@ is always reduced, gcd(denominator, *numerators) == 1, and zero is all-zero
 numerators over 1, so equal series have equal fields; equality, hashing
 and rendering read the fields.  Every operation runs in integers, and a
 ``fractions.Fraction`` is built only where a coefficient is asked for
-(``coefficient``, ``coeffs``) or rendered.  Values are immutable: the
+(``coefficient``, ``coeffs``) or rendered.  A coefficient or scalar is
+an ``int`` or a ``Fraction``, anything else raises
+``NonScalarCoefficient``; that rule (``_ratio``), the binary power and the
+signed-term renderer live here and serve ``multipoly`` too, since this
+module imports nothing from the package.  Values are immutable: the
 fields are set once, and ``coeffs`` returns a fresh list on every read, so
 a series kept in a cache cannot be changed by a caller.
 
@@ -64,17 +68,50 @@ class OrderTooSmall(SeriesError):
 
 
 class NonScalarCoefficient(SeriesError, TypeError):
-    """Series coefficients must be exact rationals (int or Fraction)."""
+    """Coefficients and scalars must be exact rationals (int or Fraction)."""
 
 
 def _ratio(c) -> tuple[int, int]:
-    """(numerator, denominator) of an int or Fraction coefficient."""
-    if isinstance(c, Fraction):
+    """(numerator, denominator) of an exact scalar, an int or a Fraction.
+
+    The one rule by which series, polynomials and operators read a scalar:
+    a float, str or Decimal is refused, never converted."""
+    if isinstance(c, (int, Fraction)):
         return c.numerator, c.denominator
-    if isinstance(c, int):
-        return int(c), 1
     raise NonScalarCoefficient(
-        f"series coefficients must be rationals, not {type(c).__name__}")
+        f"coefficients must be exact rationals (int or Fraction), not {type(c).__name__}")
+
+
+def _power(x, n: int, one):
+    """x ** n for n >= 0 by binary powering, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def _render_terms(terms, magnitude=str, times: str = "*") -> str:
+    """The signed sum of (monomial, coefficient) terms, each coefficient a
+    nonzero rational and the constant's monomial "": "-a + b*m - m" with a
+    unit magnitude left out before a monomial, and "0" for no terms."""
+    pieces: list[str] = []
+    for mono, c in terms:
+        mag = abs(c)
+        if not mono:
+            body = magnitude(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{magnitude(mag)}{times}{mono}"
+        if pieces:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
+    return " ".join(pieces) or "0"
 
 
 def _wrap(nums: tuple[int, ...], den: int) -> "Series":
@@ -175,13 +212,6 @@ class Series:
     def is_zero(self) -> bool:
         return not any(self._nums)
 
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient; order+1 if all vanish."""
-        for i, n in enumerate(self._nums):
-            if n:
-                return i
-        return len(self._nums)
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise OrderTooSmall(f"cannot extend order {self.order} to {order}")
@@ -267,15 +297,7 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = Series.constant(1, self.order)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return _power(self, n, Series.constant(1, self.order))
 
     # -- calculus ---------------------------------------------------------------
 
@@ -338,13 +360,10 @@ class Series:
 
     def pow_fraction(self, q: Fraction) -> "Series":
         """Raise a series with constant term 1 to an arbitrary rational power."""
-        q = Fraction(q)
+        q = Fraction(*_ratio(q))
         if self._nums[0] != self._den:
             raise ConstantTermNotOne("rational powers need constant term 1")
         return (self.log() * q).exp()
-
-    def sqrt(self) -> "Series":
-        return self.pow_fraction(Fraction(1, 2))
 
     def compose(self, inner: "Series") -> "Series":
         """Evaluate this series at another one with zero constant term."""
@@ -419,22 +438,7 @@ class Series:
 
 def series_str(s: Series) -> str:
     """Canonical rendering: ``c0 + c1*t + c2*t^2 + O(t^N+1)``."""
-    pieces: list[str] = []
     den = s._den
-    for k, n in enumerate(s._nums):
-        if not n:
-            continue
-        neg = n < 0
-        body = str(Fraction(-n if neg else n, den))
-        if k == 0:
-            term = body
-        elif k == 1:
-            term = "t" if body == "1" else f"{body}*t"
-        else:
-            term = f"t^{k}" if body == "1" else f"{body}*t^{k}"
-        if not pieces:
-            pieces.append(f"-{term}" if neg else term)
-        else:
-            pieces.append(f"- {term}" if neg else f"+ {term}")
-    head = " ".join(pieces) if pieces else "0"
-    return f"{head} + O(t^{s.order + 1})"
+    terms = [("" if k == 0 else "t" if k == 1 else f"t^{k}", Fraction(n, den))
+             for k, n in enumerate(s._nums) if n]
+    return f"{_render_terms(terms)} + O(t^{s.order + 1})"

@@ -1,14 +1,16 @@
 """Polynomial ring basics: exact arithmetic, rendering, substitution."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shefferpoly import MultiPoly, poly_latex
+from shefferpoly import MultiPoly, NonScalarCoefficient, poly_latex, poly_str
 from shefferpoly.multipoly import _sum, _wrap
+from shefferpoly.operators import scale
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -99,6 +101,45 @@ def test_render_latex():
     p = Y ** 2 + F(1, 2) * X
     assert poly_latex(p) == "y^{2} + \\frac{1}{2}x"
     assert poly_latex(X ** 2 - X) == "x^{2} - x"
+
+
+# (polynomial, poly_str, poly_latex), recorded before the three renderers
+# shared one term renderer
+_RENDERED = [
+    (MultiPoly.zero(), "0", "0"),
+    (MultiPoly.const(F(-5, 2)), "-5/2", "-\\frac{5}{2}"),
+    (X - 3, "x - 3", "x - 3"),
+    (X ** 2 - X * Y + Z - 1, "x^2 - x*y + z - 1", "x^{2} - xy + z - 1"),
+    (-X ** 3 + Y, "-x^3 + y", "-x^{3} + y"),
+    (X * F(-1, 2) + Y * F(3, 4) - F(1, 2), "-1/2*x + 3/4*y - 1/2",
+     "-\\frac{1}{2}x + \\frac{3}{4}y - \\frac{1}{2}"),
+    (7 * X * Y * Z - Y ** 2 * F(2, 3) + 1, "7*x*y*z - 2/3*y^2 + 1",
+     "7xyz - \\frac{2}{3}y^{2} + 1"),
+]
+
+
+@pytest.mark.parametrize("p,text,latex", _RENDERED)
+def test_rendering_edge_cases(p, text, latex):
+    assert poly_str(p) == text
+    assert poly_latex(p) == latex
+
+
+@pytest.mark.parametrize("c", [0.1, "1/3", Decimal("0.5")], ids=["float", "str", "decimal"])
+def test_inexact_scalars_are_refused(c):
+    # an exact engine takes int or Fraction only; a float is never converted
+    # (MultiPoly.const(0.1) would be 3602879701896397/36028797018963968)
+    builds = [
+        lambda: MultiPoly({(1, 0, 0): c}),
+        lambda: MultiPoly.const(c),
+        lambda: MultiPoly.monomial((1, 0, 0), c),
+        lambda: X / c,
+        lambda: scale(c),
+    ]
+    for build in builds:
+        with pytest.raises(NonScalarCoefficient):
+            build()
+    assert MultiPoly.const(F(1, 3)) / 2 == MultiPoly.const(F(1, 6))
+    assert str(scale(F(-1, 2))) == "-1/2"
 
 
 def test_rendering_is_deterministic():

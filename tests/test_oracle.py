@@ -2,6 +2,7 @@
 inversion, and the registered engine-vs-oracle suites."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,9 @@ from shefferpoly import (
     oracle_explicit_sum,
     oracle_series_product,
 )
+from shefferpoly import mixed, suites
+from shefferpoly.cli import main
+from shefferpoly.operators import compose, inv_deriv, scale, substitute_operators
 from shefferpoly.oracle import rule_c0, rule_exp, suite_names
 
 X = MultiPoly.var("x")
@@ -120,3 +124,21 @@ def test_printed_chebyshev_relation_fails_as_stated():
     substitution_side = gould_hopper(1, m - 1, 4)   # = x + y
     printed_sum_side = row_chebyshev(1, m)          # = x
     assert substitution_side != printed_sum_side
+
+
+def test_oracle_checks_the_registered_recipes(monkeypatch, capsys):
+    # ex9 with the sign of D_x^(-1) flipped: y -> -D_x^(-1){1}, z -> y
+    def flipped(fam, n):
+        return substitute_operators(fam.member(n).substitute({"x": 0}),
+                                    {"y": compose(scale(-1), inv_deriv("x")), "z": Y})
+
+    monkeypatch.setitem(mixed.REDUCTIONS, "ex9",
+                        replace(mixed.REDUCTIONS["ex9"], specialize=flipped))
+    failing = {c.name for c in suites.suite_reductions(8, 3) if not c.passed}
+    assert failing == {"identity/ex9", "lower-factorial/ex9", "bernoulli2/ex9"}
+    checks = cross_validate("leghpS-vs-table1", 4)
+    failing_rows = {c.name.rsplit(" n=", 1)[0] for c in checks if not c.passed}
+    assert failing_rows == {"S-kind base row III (r=2)", "S-kind base row III (r=3)",
+                            "S-kind base row IX (r=2)"}
+    assert main(["verify", "--suite", "oracle", "--format", "json"]) == 1
+    assert '"pass": false' in capsys.readouterr().out

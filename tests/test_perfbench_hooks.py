@@ -9,6 +9,7 @@ one cheap suite through the CLI; the failing-check counts are the ones the
 faults produced when this test was written.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -41,3 +42,28 @@ def test_planted_fault_fails_the_same_checks(fault, suite, failing, total):
     checks = json.loads(proc.stdout)["checks"]
     assert len(checks) == total
     assert sum(not c["pass"] for c in checks) == failing
+
+
+def test_tracer_hooks_exist_and_install(monkeypatch):
+    # every attribute the tracer wraps, and those the planted faults read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    from shefferpoly.multipoly import MultiPoly
+    from shefferpoly.pairs import ShefferPair
+
+    for name, owner, attrs in tracer.LAYERS:
+        for attr in attrs:
+            assert attr in vars(owner), f"{name}: {owner!r} has no {attr}"
+    for attr in ("_raw", "terms"):
+        assert hasattr(MultiPoly, attr)
+    assert hasattr(ShefferPair, "resolved")
+    before = {(name, attr): vars(owner)[attr]
+              for name, owner, attrs in tracer.LAYERS for attr in attrs}
+    t = tracer.Tracer("t")
+    try:
+        t.install()
+    finally:
+        t.uninstall()
+    after = {(name, attr): vars(owner)[attr]
+             for name, owner, attrs in tracer.LAYERS for attr in attrs}
+    assert after == before

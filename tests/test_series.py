@@ -21,6 +21,7 @@ from shefferpoly import (
     Series,
     ZeroConstantTerm,
 )
+from shefferpoly.series import series_str
 
 
 def S(*coeffs, order=None):
@@ -254,6 +255,19 @@ def test_inverse_roundtrip_both_directions(a, f1):
 
 def test_series_rendering():
     assert str(S(1, 0, F(-1, 2))) == "1 - 1/2*t^2 + O(t^3)"
+
+
+@pytest.mark.parametrize("s,text", [
+    (Series.zero(3), "0 + O(t^4)"),
+    (Series([-2, 1, 0, -1], 3), "-2 + t - t^3 + O(t^4)"),
+    (Series([0, 1, -1], 2), "t - t^2 + O(t^3)"),
+    (Series([0, -1, 1, F(-1, 2)], 3), "-t + t^2 - 1/2*t^3 + O(t^4)"),
+    (Series([F(1, 3), F(-2, 5), 0, 4], 4), "1/3 - 2/5*t + 4*t^3 + O(t^5)"),
+    (Series([-1, -1, -1], 2), "-1 - t - t^2 + O(t^3)"),
+])
+def test_series_rendering_edge_cases(s, text):
+    # recorded before series_str shared the polynomial term renderer
+    assert series_str(s) == text
 
 
 # -- the integer representation against a plain list[Fraction] reference ------------
