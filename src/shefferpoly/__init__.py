@@ -4,7 +4,7 @@ operator calculus, the classical pair catalog, and verification suites for
 the families' quasi-monomial structure."""
 
 from .checks import Check
-from .multipoly import MultiPoly, poly_latex, poly_str
+from .multipoly import BadExponent, MultiPoly, poly_latex, poly_str
 from .series import (
     ConstantTermNotOne,
     NonScalarCoefficient,
@@ -63,7 +63,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiPoly", "poly_latex", "poly_str",
+    "MultiPoly", "BadExponent", "poly_latex", "poly_str",
     "Series", "SeriesError", "NonzeroConstantTerm", "ConstantTermNotOne",
     "ZeroConstantTerm", "NotDeltaSeries", "OrderTooSmall", "NonScalarCoefficient",
     "LinOp", "OpSeries", "CutoffRequired", "NonNilpotentGenerator",

@@ -34,7 +34,10 @@ integer numerators over one denominator.  The phi_k are polynomials in the
 same representation, and a member is one integer linear combination of
 them (``multipoly.lincomb``) against the numerators and denominators of
 the matrix entries, with the weight folded into each entry; no
-``Fraction`` is built on the way.  The phi_k of one Phi are computed once
+``Fraction`` is built on the way.  ``lincomb`` reduces each entry's scale
+against its phi_k's denominator by one gcd before the sum, so a member is
+summed over about its own denominator, not over the lcm of every column's
+and every phi_k's.  The phi_k of one Phi are computed once
 per truncation order in the ``memo`` store; any n <= order reads its
 phi_0..phi_n from that one list.  The named families (``leghp_member``,
 ``gould_hopper``, ``legendre_S``/``legendre_R``, ``sheffer_poly``) memoize

@@ -29,7 +29,9 @@ denominator)``, are its interface.
 A scalar (a coefficient, a constant, a factor or divisor) is an ``int`` or
 a ``Fraction``; anything else, a float included, raises
 ``series.NonScalarCoefficient``.  That rule, the binary power and the
-signed-term renderer are the ones ``series`` uses.
+signed-term renderer are the ones ``series`` uses.  An exponent key is a
+tuple of exactly three ``int``s >= 0, read by the same ``isinstance`` rule;
+any other key raises ``BadExponent``, a ``ValueError``.
 
 The canonical term order used by ``str()`` and :func:`poly_latex` is graded
 lexicographic with x > y > z, highest total degree first.  Rationals render
@@ -55,6 +57,20 @@ Scalar = Union[int, Fraction]
 Num = tuple[dict[Exponent, int], int]
 
 _CONST = (0, 0, 0)
+
+
+class BadExponent(ValueError):
+    """An exponent key that is not exactly three ints >= 0."""
+
+
+def _exponents(exps) -> Exponent:
+    """exps as an exponent key: a tuple of exactly three ints >= 0, read by
+    the scalar reader's ``isinstance`` rule; anything else raises
+    ``BadExponent``, which names the key."""
+    if (isinstance(exps, tuple) and len(exps) == 3
+            and all(isinstance(k, int) and k >= 0 for k in exps)):
+        return exps
+    raise BadExponent(f"exponent key must be three integers >= 0, not {exps!r}")
 
 
 def _reduced(nums: dict[Exponent, int], den: int) -> Num:
@@ -127,9 +143,10 @@ class MultiPoly:
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
         ratios = {}
         for exps, c in (terms or {}).items():
+            exps = _exponents(exps)
             a, b = _ratio(c)
             if a:
-                ratios[(int(exps[0]), int(exps[1]), int(exps[2]))] = (a, b)
+                ratios[exps] = (a, b)
         den = lcm(*[b for _, b in ratios.values()])
         self._nums, self._den = _reduced(
             {e: a * (den // b) for e, (a, b) in ratios.items()}, den)
@@ -345,8 +362,19 @@ class MultiPoly:
 
 def lincomb(parts: Iterable[tuple[int, int, MultiPoly]]) -> MultiPoly:
     """sum (a/b) * p over (a, b, p) triples with integers a and b > 0, the
-    ratio not necessarily reduced, in integers over one common denominator."""
-    return _wrap(_sum([(a, (p._nums, b * p._den)) for a, b, p in parts]))
+    ratio not necessarily reduced, in integers over one common denominator.
+
+    Each part's scale a / (b * p's denominator) is put in lowest terms by
+    one gcd before it is summed, so the common denominator is the lcm of
+    the reduced ones: a member's sum runs over about its own denominator,
+    not over the lcm of every column's and every phi_k's, and the final
+    reduction mostly finds nothing to divide."""
+    images = []
+    for a, b, p in parts:
+        d = b * p._den
+        g = gcd(a, d)
+        images.append((a // g, (p._nums, d // g)))
+    return _wrap(_sum(images))
 
 
 def _lift(v) -> "MultiPoly":

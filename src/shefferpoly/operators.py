@@ -57,14 +57,17 @@ reduced by their gcd (``multipoly.Num``).  A linear combination of whole
 images is summed in one accumulator by ``multipoly._sum``, single scaled
 monomials by ``multipoly._collect``.  ``_sum`` takes a list of (scale,
 image) pairs and reads it as it is, once for the common denominator and
-once to accumulate, so every caller builds that list once
-(``multipoly.lincomb`` too): ``LinOp._images_over`` appends each scaled
-image of a polynomial straight into the caller's list, and
-``commutator_check`` puts both sides of one test monomial, and
-``LinOp.residual`` the image and the subtracted polynomial, into one list
-and one ``_sum``.  ``LinOp.apply`` is the one linear
-extension, and there is no conversion at its boundary: it hands the
-polynomial's fields to the kernel and wraps the result as it is.  Images
+once to accumulate, so every caller builds that list once:
+``LinOp._images_over`` appends each scaled image of a polynomial straight
+into the caller's list, and ``commutator_check`` puts both sides of one
+test monomial, and ``LinOp.residual`` the image and the subtracted
+polynomial, into one list and one ``_sum``.  ``multipoly.lincomb`` builds
+its list the same way but first reduces each scale against its
+polynomial's denominator; an image's scale shares few factors with the
+image's denominator, so the kernel sums its scales as they are.
+``LinOp.apply`` is the one linear extension, and there is no conversion
+at its boundary: it hands the polynomial's fields to the kernel and wraps
+the result as it is.  Images
 are memoized, so an operator applied to many polynomials (the raising and
 lowering operators of a monomiality check, over every member and every
 commutator test monomial) computes the image of each monomial once.  The

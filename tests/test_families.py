@@ -2,6 +2,7 @@
 pair catalog's closed-form consistency checks."""
 
 import io
+import json
 import math
 import subprocess
 import sys
@@ -222,6 +223,38 @@ def test_verify_all_builds_only_the_hybrid_members_it_reads(monkeypatch, fresh_m
     with redirect_stdout(io.StringIO()):
         assert main(["verify", "--suite", "all", "--order", "12"]) == 0
     assert built and max(built) <= 9
+
+
+# failing checks per suite of verify --suite all --order 12 when every
+# member sum divides each scale a by gcd(a, b * den) but keeps b * den
+_LINCOMB_FAULT_COUNTS = {
+    "biorthogonality": 14, "crofton": 0, "heat": 6, "integral": 0, "inverse": 0,
+    "monomiality": 56, "operational": 0, "oracle": 3, "reductions": 13,
+}
+
+
+def test_lincomb_scale_fault_reaches_the_suites(monkeypatch, fresh_memo):
+    """The reduced scales of a member sum can fail: a lincomb that reduces
+    the numerator alone fails verify, the oracle's explicit sums included."""
+    from shefferpoly import families
+    from shefferpoly.cli import main
+    from shefferpoly.multipoly import _sum, _wrap
+
+    def numerator_only(parts):
+        images = []
+        for a, b, p in parts:
+            d = b * p._den
+            images.append((a // math.gcd(a, d), (p._nums, d)))
+        return _wrap(_sum(images))
+
+    monkeypatch.setattr(families, "lincomb", numerator_only)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["verify", "--suite", "all", "--format", "json", "--order", "12"]) == 1
+    failing = dict.fromkeys(_LINCOMB_FAULT_COUNTS, 0)
+    for c in json.loads(out.getvalue())["checks"]:
+        failing[c["suite"]] += not c["pass"]
+    assert failing == _LINCOMB_FAULT_COUNTS
 
 
 def test_negative_member_index_is_rejected():

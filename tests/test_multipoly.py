@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shefferpoly import MultiPoly, NonScalarCoefficient, poly_latex, poly_str
-from shefferpoly.multipoly import _sum, _wrap
+from shefferpoly import BadExponent, MultiPoly, NonScalarCoefficient, poly_latex, poly_str
+from shefferpoly.multipoly import _sum, _wrap, lincomb
 from shefferpoly.operators import scale
 
 X = MultiPoly.var("x")
@@ -297,6 +297,45 @@ def test_sum_of_scaled_images_matches_reference(images, den):
         ref = _ref_add(ref, _ref_scale(_ref_clean(a), n))
     fields = [(n, (MultiPoly(a)._nums, MultiPoly(a)._den)) for n, a in images]
     _assert_represents(_wrap(_sum(fields, den)), _ref_scale(ref, F(1, den)))
+
+
+@st.composite
+def _lincomb_parts(draw):
+    """(a, b, reference) with a zero or of either sign, and b sharing a
+    factor f with a and, when drawn, the polynomial's whole denominator."""
+    ref = draw(_ref_polys)
+    f = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 360]))
+    a = draw(st.one_of(st.just(0), st.integers(-20, 20))) * f
+    b = draw(st.integers(1, 12)) * f * draw(st.sampled_from([1, MultiPoly(ref)._den]))
+    return a, b, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lincomb_parts(), max_size=6))
+def test_lincomb_matches_reference(parts):
+    """multipoly.lincomb against the reference: sum (a/b) * p, reduced."""
+    ref = {}
+    for a, b, r in parts:
+        ref = _ref_add(ref, _ref_scale(_ref_clean(r), F(a, b)))
+    _assert_represents(lincomb((a, b, MultiPoly(r)) for a, b, r in parts), ref)
+
+
+@pytest.mark.parametrize("key,build", [
+    ((1.5, 0, 0), lambda k: MultiPoly({k: 1})),
+    ((0, "2", 0), MultiPoly.monomial),
+    ((-1, 0, 0), lambda k: MultiPoly({k: 2})),
+    ((0, -3, 0), lambda k: MultiPoly.monomial(k, 0)),
+    ((0, 0), MultiPoly.monomial),
+    ((0, 0, 0, 5), lambda k: MultiPoly({k: 1})),
+    (3, lambda k: MultiPoly({k: 1})),
+], ids=["inexact", "str", "negative", "negative-zero-coeff", "short", "long", "not-a-tuple"])
+def test_bad_exponent_keys_are_refused(key, build):
+    # exponents are ints >= 0, exactly three; a bad key is never truncated,
+    # parsed or cut, and the error names it
+    with pytest.raises(BadExponent) as info:
+        build(key)
+    assert isinstance(info.value, ValueError)
+    assert repr(key) in str(info.value)
 
 
 def test_values_are_immutable():
