@@ -3,7 +3,11 @@
 Every value the engine derives once and shares lives in ``_STORE``:
 resolved pairs, Sheffer matrices, phi_k lists, family members, and the
 image dict of every weighted-shift structure and of every operator series
-over one.  ``clear()`` frees them; an operator built before it keeps the
+over one.  Every key is data (names, parameters, orders, classes,
+variables, series coefficients), never a function, so the store holds
+what the code of the moment computed: whoever replaces engine code to
+plant a fault swaps in an empty ``_STORE`` for as long as the fault
+stands.  ``clear()`` frees them; an operator built before it keeps the
 images it holds, and one built after it starts a fresh dict.
 """
 

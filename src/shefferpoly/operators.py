@@ -41,19 +41,21 @@ earlier.  No family's raising or lowering operator reads z.
 
 Every leaf operator (``Deriv``, ``InvDeriv``, ``MulVar``, ``Scale``,
 ``Identity``, ``MulPoly``) defines only its image of one monomial,
-``image(e)``.  All but a many-term ``MulPoly`` are weighted shifts: they
-send x^e to one monomial w(e) x^(e + delta), or to zero.  A ``Compose`` (so
-an ``op_pow``) of weighted shifts is one weighted shift: its image of x^e is
-one product of its leaves' weights along the path, with no intermediate
-polynomial.  An ``OpSeries`` h(B) over a weighted-shift base has the
-closed-form image sum_k h_k W_k(e) x^(e + k delta), where W_k(e) is the
-product of B's weights along e, B e, ..., B^(k-1) e; for B = d/dy this is
-h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k).  The shift bases d/dy,
-Theta = -d/dx x d/dx and -d/dx x d/dy all take this path.
+``image(e)``.  All but a many-term ``MulPoly`` are weighted shifts, and set
+``shift``: they send x^e to one monomial w(e) x^(e + delta), or to zero.  A
+``Compose`` (so an ``op_pow``) of weighted shifts is one weighted shift: its
+image of x^e is one product of its leaves' weights along the path, with no
+intermediate polynomial.  An ``OpSeries`` h(B) over a weighted-shift base
+has the closed-form image sum_k h_k W_k(e) x^(e + k delta), where W_k(e) is
+the product of B's weights along e, B e, ..., B^(k-1) e; for B = d/dy this
+is h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k).  The shift bases d/dy,
+Theta = -d/dx x d/dx and -d/dx x d/dy all take this path.  Both walks read
+each step's image as every memo holds it, a ``Num`` of one term or none.
 
 Images, and every intermediate value inside a composite, are in the
 polynomial's own representation: integer numerators over one denominator,
-reduced by their gcd (``multipoly.Num``).  A linear combination of whole
+reduced by their gcd (``multipoly.Num``).  It is the one image form: a
+weighted shift's memo holds it too.  A linear combination of whole
 images is summed in one accumulator by ``multipoly._sum``, single scaled
 monomials by ``multipoly._collect``.  ``_sum`` takes a list of (scale,
 image) pairs and reads it as it is, once for the common denominator and
@@ -75,27 +77,28 @@ memo has one of two lifetimes:
 
 * A weighted shift, and an ``OpSeries`` over a weighted-shift base, shares
   one memo with every operator of the same structure, kept in the ``memo``
-  store until ``memo.clear()``.  A leaf's structure is its class, that
-  class's ``image`` function and its argument (the variable, the scale, or
-  the polynomial); a shift ``Compose``'s structure is its parts'; an
-  ``OpSeries``'s is the class's ``_image`` function, the series numerators
-  and denominator it reads, its cutoff and its base's structure.  Every
-  family's d/dy, Theta, f(d/dy) or (1/f')(Theta) computes each image once,
-  and a replaced ``image`` or ``OpSeries._image`` (a planted fault) gets a
-  fresh memo in every operator built after it.
+  store until ``memo.clear()``.  The key is the structure only: a leaf's is
+  its class and its argument (the variable, the scale, or the polynomial);
+  a shift ``Compose``'s is the tuple of its parts' keys; an ``OpSeries``'s
+  is its class, the series numerators and denominator it reads, its cutoff
+  and its base's key.  Every family's d/dy, Theta, f(d/dy) or (1/f')(Theta)
+  computes each image once.
 * Every other operator (an ``OpSeries`` over any other base, ``OpSum``, a
   ``Compose`` that is not a shift, a many-term ``MulPoly``) keeps its own
   memo, since its images depend on its whole tree; the memo is freed with
   the operator.
 
-Each operator fills its memo with the image function its class had when it
-was built, so a replaced one never writes into a memo of correct images.
-A leaf reads its own ``image`` once per monomial, so every composite sees
-the leaf's action.  Operators are immutable expression trees and
-application is pure: a memo write, shared memo or not, stores the value
-any other call would compute, and since polynomials are immutable, a
-result that shares its fields with a memoized image cannot change it, so
-concurrent use is safe.
+``shift`` decides only that sharing and the two walks above.  A leaf reads
+its class's ``image`` on every memo miss, so every composite sees the
+leaf's action.  The keys name no code, so a memo holds whatever the code
+of the moment computed: a fault planted in the engine (a replaced
+``image`` or ``_image``) is kept out of the correct images by whoever
+plants it, with an empty memo store for as long as it stands (the tests'
+``plant`` fixture), never by the engine.  Operators are immutable
+expression trees and application is pure: a memo write, shared memo or
+not, stores the value any other call would compute, and since polynomials
+are immutable, a result that shares its fields with a memoized image
+cannot change it, so concurrent use is safe.
 
 An operator series checks its cutoff (``OpSeries._admit``) on every
 polynomial it acts on, nested in a composite or not: once on the whole
@@ -155,13 +158,6 @@ _READS_NONE: Reads = frozenset()
 _READS_ALL: Reads = frozenset(range(len(VARS)))
 
 
-# A weighted shift's image of one monomial: (e', a, b) for (a/b) x^e', or
-# None when the monomial is sent to zero.
-Shift = tuple[Exponent, int, int] | None
-
-_MISSING = object()
-
-
 def _term(e: Exponent, n: int = 1, d: int = 1) -> MultiPoly:
     """n/d times the monomial with exponents e (zero when n is 0); n/d is
     in lowest terms with d > 0."""
@@ -172,27 +168,19 @@ def _bump(e: Exponent, i: int, step: int) -> Exponent:
     return e[:i] + (e[i] + step,) + e[i + 1:]
 
 
-def _shift_of(op: "LinOp", e: Exponent) -> Shift:
-    """A weighted shift's memoized image of x^e."""
-    images = op._images
-    s = images.get(e, _MISSING)
-    if s is _MISSING:
-        s = images[e] = op._shift(e)
-    return s
-
-
 class LinOp:
     """Base class for formal linear operators on MultiPoly.
 
     A leaf defines ``image(e)``, its action on the single monomial with
     exponents e, and sets ``shift`` when that image is always one monomial
-    or zero.  Composites define ``_shift`` (when they are weighted shifts)
-    or ``_image``, both on (numerators, denominator) fields.  ``apply`` is
-    the linear extension, written once here: each image is computed once
-    per memo, by the ``_image`` (a leaf's: ``image``) the class had when the
-    operator was built.  A weighted shift, and an ``OpSeries`` over one,
-    shares the memo of its structure, kept in the ``memo`` store; every
-    other operator keeps its own, which is freed with the operator.
+    or zero.  Composites define ``_image``, the image of x^e as
+    (numerators, denominator) fields; a leaf's returns the fields of its
+    ``image(e)``.  Every memo holds those fields, and ``apply`` is the
+    linear extension, written once here: each image is computed once per
+    memo.  A weighted shift, and an ``OpSeries`` over one, shares the memo
+    of its structure, kept in the ``memo`` store under a key that holds the
+    structure only; every other operator keeps its own, which is freed with
+    the operator.
     """
 
     shift = False
@@ -200,7 +188,6 @@ class LinOp:
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls)
         self._images = {}
-        self._fill = cls._image
         return self
 
     def _share(self, key: tuple) -> None:
@@ -209,26 +196,11 @@ class LinOp:
         self._images = memo(("images", key), dict)
 
     def _leaf(self, arg) -> None:
-        """Share the memo of this leaf's class, ``image`` and argument; the
-        leaf keeps reading that ``image``, so its memo holds only its
-        values even if the class's ``image`` is replaced later."""
-        self._image_fn = type(self).image
-        self._share((type(self), self._image_fn, arg))
-
-    def image(self, e: Exponent) -> MultiPoly:
-        """The image of the single monomial with exponents e."""
-        return self.apply(_term(e))
-
-    def _shift(self, e: Exponent) -> Shift:
-        """A weighted-shift leaf's image of x^e, read from ``image``."""
-        img = self._image_fn(self, e)
-        if not img._nums:
-            return None
-        (e2, n), = img._nums.items()
-        return e2, n, img._den
+        """Share the memo of this leaf's class and argument."""
+        self._share((type(self), arg))
 
     def _image(self, e: Exponent) -> Num:
-        """A leaf's image of x^e, read from ``image``."""
+        """A leaf's image of x^e, read from its ``image``."""
         img = self.image(e)
         return img._nums, img._den
 
@@ -240,20 +212,16 @@ class LinOp:
         """The memoized image of the single monomial x^e.
 
         Every read of one image as (numerators, denominator) goes through
-        here; only the weighted-shift paths read ``_shift_of`` directly.
-        On a miss ``_admit`` runs on {e} first, unless the caller has
-        ``admitted`` a whole polynomial with e in it; a hit has passed it
-        before (see the module docstring).
+        here but a memo hit in ``_images_over``.  On a miss ``_admit`` runs
+        on {e} first, unless the caller has ``admitted`` a whole polynomial
+        with e in it; a hit has passed it before (see the module docstring).
         """
-        if self.shift:
-            s = _shift_of(self, e)
-            return ({s[0]: s[1]}, s[2]) if s is not None else ({}, 1)
         images = self._images
         img = images.get(e)
         if img is None:
             if not admitted:
                 self._admit((e,))
-            img = images[e] = self._fill(self, e)
+            img = images[e] = self._image(e)
         return img
 
     def _images_over(self, terms: Mapping[Exponent, int], c: int,
@@ -261,15 +229,11 @@ class LinOp:
         """Append (c n, image of x^e) to ``out`` for every term n x^e of a
         polynomial, after ``_admit`` on the whole polynomial.
 
-        A memo hit is read directly; a miss and a weighted shift go through
-        ``_image_at``, so the admission rules are its own."""
+        A memo hit is read directly; a miss goes through ``_image_at``, so
+        the admission rules are its own."""
         whole = len(terms) != 1
         if whole:
             self._admit(terms)
-        if self.shift:
-            for e, n in terms.items():
-                out.append((c * n, self._image_at(e, whole)))
-            return
         get = self._images.get
         for e, n in terms.items():
             img = get(e)
@@ -277,13 +241,6 @@ class LinOp:
 
     def _act(self, terms: dict[Exponent, int], den: int) -> Num:
         """This operator applied to sum_e terms[e] x^e / den."""
-        if self.shift:
-            parts = []
-            for e, n in terms.items():
-                s = _shift_of(self, e)
-                if s is not None:
-                    parts.append((s[0], n * s[1], s[2]))
-            return _collect(parts, den)
         images: list[tuple[int, Num]] = []
         self._images_over(terms, 1, images)
         if den == 1 and len(images) == 1 and images[0][0] == 1:
@@ -481,27 +438,14 @@ class OpSum(LinOp):
     def _image(self, e: Exponent) -> Num:
         parts = []
         for op in self.ops:
-            if op.shift:
-                s = _shift_of(op, e)
-                if s is not None:
-                    parts.append(s)
-            else:
-                t, d = op._image_at(e)
-                parts += [(e2, n, d) for e2, n in t.items()]
+            t, d = op._image_at(e)
+            parts += [(e2, n, d) for e2, n in t.items()]
         return _collect(parts)
 
     def deltas(self) -> Deltas:
-        d: Deltas = {}
-        for v in VARS:
-            worst = None
-            for op in self.ops:
-                dv = op.deltas()[v]
-                if dv is None:
-                    worst = None
-                    break
-                worst = dv if worst is None else max(worst, dv)
-            d[v] = worst if self.ops else 0
-        return d
+        parts = [op.deltas() for op in self.ops]
+        return {v: None if any(d[v] is None for d in parts)
+                else max((d[v] for d in parts), default=0) for v in VARS}
 
     def reads(self) -> Reads:
         return _READS_NONE.union(*(op.reads() for op in self.ops))
@@ -525,19 +469,18 @@ class Compose(LinOp):
         if self.shift:
             self._share(tuple(op._key for op in self.ops))
 
-    def _shift(self, e: Exponent) -> Shift:
-        a = b = 1
-        for op in reversed(self.ops):
-            s = _shift_of(op, e)
-            if s is None:
-                return None
-            e, sa, sb = s
-            a *= sa
-            b *= sb
-        g = gcd(a, b)
-        return e, a // g, b // g
-
     def _image(self, e: Exponent) -> Num:
+        if self.shift:  # one product of the weights along the path
+            a = b = 1
+            for op in reversed(self.ops):
+                t, d = op._image_at(e)
+                if not t:
+                    return {}, 1
+                (e, n), = t.items()
+                a *= n
+                b *= d
+            g = gcd(a, b)
+            return {e: a // g}, b // g
         *rest, first = self.ops
         cur = first._image_at(e)
         for op in reversed(rest):
@@ -545,15 +488,9 @@ class Compose(LinOp):
         return cur
 
     def deltas(self) -> Deltas:
-        d = _zero_deltas()
-        for op in self.ops:
-            od = op.deltas()
-            for v in VARS:
-                if d[v] is None or od[v] is None:
-                    d[v] = None
-                else:
-                    d[v] = d[v] + od[v]
-        return d
+        parts = [op.deltas() for op in self.ops]
+        return {v: None if any(d[v] is None for d in parts) else sum(d[v] for d in parts)
+                for v in VARS}
 
     def reads(self) -> Reads:
         return _READS_NONE.union(*(op.reads() for op in self.ops))
@@ -596,8 +533,8 @@ class OpSeries(LinOp):
     denominator, so every term of an image is an integer ratio.
 
     Over a weighted-shift base the memo is shared by structure like a
-    shift's, under the ``_image`` this operator fills it with, the h_k, the
-    cutoff and the base's key; over any other base it is the operator's own.
+    shift's, under the class, the h_k, the cutoff and the base's key; over
+    any other base it is the operator's own.
     """
 
     def __init__(self, series: Series, base: LinOp, cutoff: int | None = None):
@@ -609,7 +546,7 @@ class OpSeries(LinOp):
         self._hs = series._nums if cutoff is None else series._nums[: cutoff + 1]
         self._hden = series._den
         if base.shift:
-            self._share((type(self), self._fill, self._hs, self._hden, cutoff, base._key))
+            self._share((type(self), self._hs, self._hden, cutoff, base._key))
 
     def _admit(self, exps: Collection[Exponent]) -> None:
         k_max = self.cutoff
@@ -632,12 +569,12 @@ class OpSeries(LinOp):
         if base.shift:
             a = b = 1
             for h in hs[1:]:
-                s = _shift_of(base, e)
-                if s is None:
+                t, d = base._image_at(e)
+                if not t:
                     break
-                e, sa, sb = s
-                a *= sa
-                b *= sb
+                (e, n), = t.items()
+                a *= n
+                b *= d
                 parts.append((e, h * a, hden * b))
         else:
             t, d = {e: 1}, 1

@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .memo import memo
-from .series import Series
+from .series import OrderTooSmall, Series
 
 Params = dict[str, Fraction]
 
@@ -186,6 +186,11 @@ class ShefferPair:
         return self.builder(self.param_dict(), order)
 
     def resolved(self, order: int) -> ResolvedPair:
+        """g, f, H and A through t^order; an order below 1, which cannot
+        invert f, raises ``OrderTooSmall``."""
+        if order < 1:
+            raise OrderTooSmall(f"resolving a pair needs order >= 1, not {order}")
+
         def make():
             built = self.build(order)
             H = built.f.compositional_inverse()

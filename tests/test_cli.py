@@ -102,6 +102,14 @@ def test_exit_code_capacity():
     assert code == 3
 
 
+@pytest.mark.parametrize("suite", ["all", "inverse"])
+def test_verify_order_zero_is_a_capacity_error(suite):
+    # order 0 cannot invert f, like order 1 cannot hold member 2
+    code, out, err = run_cli("verify", "--suite", suite, "--order", "0")
+    assert code == 3 and out == ""
+    assert err == "error: resolving a pair needs order >= 1, not 0\n"
+
+
 def test_exit_code_inexact_root_of_huge_power():
     # 2^(20001/2) is irrational; the exact root test must say so, not overflow
     code, out, err = run_cli("expand", "--pair", "peters", "--param", "mu=20001/2",

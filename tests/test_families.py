@@ -233,7 +233,7 @@ _LINCOMB_FAULT_COUNTS = {
 }
 
 
-def test_lincomb_scale_fault_reaches_the_suites(monkeypatch, fresh_memo):
+def test_lincomb_scale_fault_reaches_the_suites(plant):
     """The reduced scales of a member sum can fail: a lincomb that reduces
     the numerator alone fails verify, the oracle's explicit sums included."""
     from shefferpoly import families
@@ -247,7 +247,7 @@ def test_lincomb_scale_fault_reaches_the_suites(monkeypatch, fresh_memo):
             images.append((a // math.gcd(a, d), (p._nums, d)))
         return _wrap(_sum(images))
 
-    monkeypatch.setattr(families, "lincomb", numerator_only)
+    plant(families, "lincomb", numerator_only)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["verify", "--suite", "all", "--format", "json", "--order", "12"]) == 1

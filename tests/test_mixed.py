@@ -189,15 +189,14 @@ def test_r_kind_theta_variant_passes_catalog_wide():
             assert passing(rep, f"{ident}/theta/egf"), (pair.name, ident)
 
 
-def test_r_rows_fail_when_theta_loses_its_sign(monkeypatch):
+def test_r_rows_fail_when_theta_loses_its_sign(plant):
     # Theta without its -1 breaks every theta-variant identity at egf
     # weight; the R-kind rows assert those, so each one must now FAIL
     from shefferpoly import mixed
     from shefferpoly.operators import compose, mul_var
     from shefferpoly.suites import suite_monomiality
 
-    monkeypatch.setattr(mixed, "theta_operator",
-                        lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
+    plant(mixed, "theta_operator", lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
     rep = fam(LOWER_FACT, "R", 2, 4).verify_monomiality(1)
     for ident in ("raising", "lowering", "diffeq", "commutator"):
         assert not passing(rep, f"{ident}/theta/egf"), ident
@@ -255,31 +254,30 @@ def _first_failures(checks):
     return firsts
 
 
-def _no_fault(monkeypatch):
+def _no_fault(plant):
     pass
 
 
-def _deriv_off_by_one(monkeypatch):
+def _deriv_off_by_one(plant):
     from test_operators import _off_by_one_deriv
 
     from shefferpoly import operators
 
-    monkeypatch.setattr(operators.Deriv, "image", _off_by_one_deriv(lambda k: True))
+    plant(operators.Deriv, "image", _off_by_one_deriv(lambda k: True))
 
 
-def _theta_without_sign(monkeypatch):
+def _theta_without_sign(plant):
     from shefferpoly import mixed
     from shefferpoly.operators import compose, mul_var
 
-    monkeypatch.setattr(mixed, "theta_operator",
-                        lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
+    plant(mixed, "theta_operator", lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
 
 
-@pytest.mark.parametrize("plant", [_no_fault, _deriv_off_by_one, _theta_without_sign],
+@pytest.mark.parametrize("fault", [_no_fault, _deriv_off_by_one, _theta_without_sign],
                          ids=["correct", "deriv-off-by-one", "theta-sign"])
 @pytest.mark.parametrize("pair,kind", [("hahn", "S"), ("laguerre", "R")])
-def test_a_failed_identity_gets_no_further_record(monkeypatch, plant, pair, kind):
-    plant(monkeypatch)
+def test_a_failed_identity_gets_no_further_record(plant, fault, pair, kind):
+    fault(plant)
     family = fam(get_pair(pair), kind, 2, 9)
     checks = family.verify_monomiality(6)
     failed = set()
@@ -384,7 +382,7 @@ def test_integral_rep():
         assert r.integral_rep_check(n).passed
 
 
-def test_integral_rep_detects_a_dropped_term(monkeypatch):
+def test_integral_rep_detects_a_dropped_term(plant):
     # the check compares against an independently generated family, so a
     # member with one term missing must fail it
     member = MixedFamily.member
@@ -394,7 +392,7 @@ def test_integral_rep_detects_a_dropped_term(monkeypatch):
         terms.pop(max(terms))
         return MultiPoly(terms)
 
-    monkeypatch.setattr(MixedFamily, "member", dropped)
+    plant(MixedFamily, "member", dropped)
     for kind in ("S", "R"):
         for r in (2, 3):
             assert not fam(LOWER_FACT, kind, r).integral_rep_check(3).passed
@@ -544,7 +542,7 @@ def test_cached_member_cannot_be_corrupted(name, read):
     assert again == m and not again.is_zero
 
 
-def test_printed_r_route_row_fails_once_the_route_is_evaluable(monkeypatch):
+def test_printed_r_route_row_fails_once_the_route_is_evaluable(plant):
     # the row records that exp of the printed R-kind generator is not
     # evaluable; if the route ever evaluates, to the member or not, the row
     # must fail rather than keep passing
@@ -559,6 +557,5 @@ def test_printed_r_route_row_fails_once_the_route_is_evaluable(monkeypatch):
     assert row().passed
     fam_r = MixedFamily(catalog()[0], "R", 2, 6)
     for result in (lambda p: p, lambda p: fam_r.egf_member(2)):
-        monkeypatch.setattr(mixed, "exp_operator",
-                            lambda terms, p, cutoff=None, result=result: result(p))
+        plant(mixed, "exp_operator", lambda terms, p, cutoff=None, result=result: result(p))
         assert not row().passed

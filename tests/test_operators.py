@@ -37,7 +37,7 @@ from shefferpoly import (
     substitute_operators,
     theta_operator,
 )
-from shefferpoly import mixed, operators
+from shefferpoly import memo, mixed, operators
 from shefferpoly.multipoly import VARS
 from shefferpoly.operators import (
     LinOp,
@@ -46,7 +46,7 @@ from shefferpoly.operators import (
     monomials_up_to,
 )
 from shefferpoly.series import OrderTooSmall
-from shefferpoly.suites import suite_monomiality
+from shefferpoly.suites import run_all, suite_monomiality
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -355,11 +355,11 @@ def _off_by_one_deriv(wrong_at):
      F(10, 3) * X ** 2 - F(28, 3) * X + F(28, 3)),
 ], ids=["all-hahn-S", "all-laguerre-R", "k3-identity-S", "k3-hahn-S", "k3-laguerre-R"])
 def test_off_by_one_deriv_fails_commutator_at_same_witness(
-        monkeypatch, wrong_at, pair, kind, variant, witness, got):
+        plant, wrong_at, pair, kind, variant, witness, got):
     fam = MixedFamily(get_pair(pair), kind, 2, 12)
     assert commutator_check(fam.lowering_operator(variant),
                             fam.raising_operator(variant), 8).passed
-    monkeypatch.setattr(operators.Deriv, "image", _off_by_one_deriv(wrong_at))
+    plant(operators.Deriv, "image", _off_by_one_deriv(wrong_at))
     rep = commutator_check(fam.lowering_operator(variant),
                            fam.raising_operator(variant), 8)
     assert not rep.passed
@@ -663,7 +663,7 @@ def _count_sums(monkeypatch):
     return counter
 
 
-def test_commutator_sums_once_per_test_monomial(monkeypatch):
+def test_commutator_sums_once_per_test_monomial(monkeypatch, fresh_memo):
     """Work-count guard: a∘b(e) - b∘a(e) is one accumulator per monomial
     tested (three, 495 in all, when each side was reduced on its own).
     Neither operator reads z, so only the 45 z-free monomials of degree
@@ -676,7 +676,7 @@ def test_commutator_sums_once_per_test_monomial(monkeypatch):
     assert calls[0] == sum(not m.depends_on("z") for m in monomials_up_to(8)) == 45
 
 
-def test_commutator_skips_only_variables_neither_operator_reads(monkeypatch):
+def test_commutator_skips_only_variables_neither_operator_reads(monkeypatch, fresh_memo):
     # z is read here, so z is tested: [d_z, z + z^2 d_z] = 1 + 2 z d_z
     grow = op_sum(mul_var("z"), compose(mul_poly(Z ** 2), deriv("z")))
     rep = commutator_check(deriv("z"), grow, 2)
@@ -785,7 +785,9 @@ def test_weighted_shifts_share_one_memo_per_structure():
         assert a._images and not b._images
 
 
-def test_replaced_deriv_image_reaches_every_operator_built_after_it(monkeypatch):
+def test_replaced_deriv_image_reaches_every_operator_built_after_it(monkeypatch, plant):
+    # the fault reaches every operator built in the planted store, and the
+    # memos of the store before it never see the fault's images
     fam = MixedFamily(get_pair("hahn"), "S", 2, 12)
 
     def pair_check():
@@ -794,19 +796,19 @@ def test_replaced_deriv_image_reaches_every_operator_built_after_it(monkeypatch)
 
     assert pair_check().passed  # fills the shared memos with correct images
     before = deriv("y")
-    with monkeypatch.context() as m:
-        m.setattr(operators.Deriv, "image", _off_by_one_deriv(lambda k: True))
-        assert deriv("y")._images is not before._images
-        rep = pair_check()
-        assert not rep.passed
-        assert rep.witness == f"FAIL at {ONE}: commutator gives {2 * ONE}"
-        # an operator built before the fault keeps its image and its memo
-        assert before.apply(Y ** 40) == 40 * Y ** 39
+    plant(operators.Deriv, "image", _off_by_one_deriv(lambda k: True))
+    assert deriv("y")._images is not before._images
+    assert deriv("y").apply(Y ** 40) == 41 * Y ** 39
+    rep = pair_check()
+    assert not rep.passed
+    assert rep.witness == f"FAIL at {ONE}: commutator gives {2 * ONE}"
+    monkeypatch.undo()
     assert deriv("y")._images is before._images
     assert pair_check().passed
+    assert deriv("y").apply(Y ** 40) == 40 * Y ** 39
 
 
-def test_replaced_series_image_reaches_every_operator_built_after_it(monkeypatch):
+def test_replaced_series_image_reaches_every_operator_built_after_it(monkeypatch, plant):
     fam = MixedFamily(get_pair("hahn"), "S", 2, 12)
     f = get_pair("hahn").resolved(12).f
 
@@ -822,23 +824,24 @@ def test_replaced_series_image_reaches_every_operator_built_after_it(monkeypatch
     def plus_identity(self, e):  # h(B) + 1 in place of h(B)
         return operators._sum(((1, image(self, e)), (1, ({e: 1}, 1))))
 
-    with monkeypatch.context() as m:
-        m.setattr(operators.OpSeries, "_image", plus_identity)
-        assert fam.lowering_operator("printed")._images is not before._images
-        assert not pair_check().passed
-        # an operator built before the fault keeps its _image and its memo
-        assert before.apply(Y * Z ** 9) == (f.coeffs[0] * Y + f.coeffs[1]) * Z ** 9
+    plant(operators.OpSeries, "_image", plus_identity)
+    assert fam.lowering_operator("printed")._images is not before._images
+    assert OpSeries(f, deriv("y")).apply(Y * Z ** 9) == (
+        (f.coeffs[0] + 1) * Y + f.coeffs[1]) * Z ** 9
+    assert not pair_check().passed
+    monkeypatch.undo()
     assert fam.lowering_operator("printed")._images is before._images
     assert pair_check().passed
+    assert before.apply(Y * Z ** 9) == (f.coeffs[0] * Y + f.coeffs[1]) * Z ** 9
 
 
-def test_monomiality_suite_computes_few_series_images(monkeypatch):
+def test_monomiality_suite_computes_few_series_images(monkeypatch, fresh_memo):
     """Work-count guard: each operator-series image is computed once per
     structure, not once per family (23,408 with per-instance memos)."""
     calls = 0
     image = operators.OpSeries._image
 
-    def counted(self, e):  # a new _image also means fresh memos
+    def counted(self, e):
         nonlocal calls
         calls += 1
         return image(self, e)
@@ -849,7 +852,7 @@ def test_monomiality_suite_computes_few_series_images(monkeypatch):
     assert 0 < calls <= 10_000
 
 
-def test_monomiality_suite_reads_few_leaf_images(monkeypatch):
+def test_monomiality_suite_reads_few_leaf_images(monkeypatch, fresh_memo):
     """Work-count guard: every leaf image is read once per structure, not
     once per family (69,396 reads with per-instance memos)."""
     calls = 0
@@ -862,7 +865,7 @@ def test_monomiality_suite_reads_few_leaf_images(monkeypatch):
         return counted
 
     for cls in _subclasses(LinOp):
-        if "image" in vars(cls):  # a new image function also means fresh memos
+        if "image" in vars(cls):
             monkeypatch.setattr(cls, "image", counting(cls.image))
     checks = suite_monomiality(order=8, max_n=3)
     assert checks and all(c.passed for c in checks)
@@ -878,9 +881,7 @@ def test_threads_filling_the_shared_memos_agree(monkeypatch):
         return [(M.apply(m), P.apply(m)) for m in members]
 
     want = run()
-    for cls in _subclasses(LinOp):
-        if "image" in vars(cls):  # the same images, in fresh memos
-            monkeypatch.setattr(cls, "image", lambda self, e, image=cls.image: image(self, e))
+    monkeypatch.setattr(memo, "_STORE", {})  # the threads fill fresh memos
     results = [None] * 6
 
     def work(i):
@@ -1000,3 +1001,103 @@ def test_deriv_image_fault_rows_show_their_own_first_failure(deriv_fault_run):
         "n=2: got y^2 + 6*x - 4*y + 6*z + 2; expected y^2 + 2*x - 4*y + 2*z + 2")
     assert rows["operational", "laguerre/S/r=2: z-restoration"] == (
         "n=2: got y^2 + 2*x - 4*y + 6*z + 2; expected y^2 + 2*x - 4*y + 2*z + 2")
+
+
+# -- kernel fault matrix ------------------------------------------------------------------
+
+
+def _inv_deriv_wrong_constant(self, e):
+    """A D_v^-1 image that divides v^(k+1) by k + 2 instead of k + 1."""
+    k = e[self.index]
+    return MultiPoly({e[:self.index] + (k + 1,) + e[self.index + 1:]: F(1, k + 2)})
+
+
+def _mul_var_squared(self, e):
+    """A multiplication by v that multiplies by v^2."""
+    return MultiPoly({e[:self.index] + (e[self.index] + 2,) + e[self.index + 1:]: 1})
+
+
+_SERIES_IMAGE = OpSeries._image
+
+
+def _series_plus_identity(self, e):
+    """h(B) + 1 in place of h(B)."""
+    return operators._sum(((1, _SERIES_IMAGE(self, e)), (1, ({e: 1}, 1))))
+
+
+_COMPOSE_IMAGE = operators.Compose._image
+
+
+def _path_weight_plus_one(self, e):
+    """The fused walk of a shift composition with its path weight plus one."""
+    nums, den = _COMPOSE_IMAGE(self, e)
+    if not self.shift or not nums:
+        return nums, den
+    (e2, n), = nums.items()
+    return {e2: n + den}, den
+
+
+_SUITE_SIZES = {
+    "biorthogonality": 14, "crofton": 24, "heat": 16, "integral": 56, "inverse": 24,
+    "monomiality": 56, "operational": 57, "oracle": 5, "reductions": 45,
+}
+
+
+def _failing(**counts):
+    """(failing, total) checks per suite of ``run_all(12)``."""
+    return {suite: (counts.get(suite, 0), size) for suite, size in _SUITE_SIZES.items()}
+
+
+# (owner, attribute, fault, (failing, total) checks per suite of run_all(12));
+# every row was recorded in a fresh interpreter, under an empty memo store,
+# from the kernel that kept a weighted shift's images in a form of their own
+# (its fused walk was Compose._shift there); the first is the subprocess
+# digest's fault, in process
+KERNEL_FAULTS = {
+    "deriv-off-by-one": (operators.Deriv, "image", _off_by_one_deriv(lambda k: True),
+                         _DERIV_FAULT_COUNTS),
+    "inv-deriv-constant": (operators.InvDeriv, "image", _inv_deriv_wrong_constant,
+                           _failing(heat=4, monomiality=56, operational=28, oracle=1,
+                                    reductions=9)),
+    "series-plus-identity": (OpSeries, "_image", _series_plus_identity,
+                             _failing(crofton=24, heat=7, monomiality=56, operational=56)),
+    "compose-walk-plus-one": (operators.Compose, "_image", _path_weight_plus_one,
+                              _failing(crofton=9, heat=16, monomiality=56, operational=56,
+                                       oracle=1, reductions=15)),
+    "mul-var-squared": (operators.MulVar, "image", _mul_var_squared,
+                        _failing(crofton=24, heat=6, monomiality=56, oracle=1, reductions=6)),
+}
+
+
+def _failing_of(checks):
+    counts = {}
+    for c in checks:
+        failing, total = counts.get(c.suite, (0, 0))
+        counts[c.suite] = (failing + (not c.passed), total + 1)
+    return counts
+
+
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_kernel_fault_fails_its_checks_and_leaves_no_trace(monkeypatch, plant, fault):
+    owner, name, value, counts = KERNEL_FAULTS[fault]
+    plant(owner, name, value)
+    assert _failing_of(run_all(12)) == counts
+    monkeypatch.undo()
+    # the images computed under the fault stayed in the planted store
+    assert _failing_of(run_all(12)) == _failing()
+
+
+def _callables_in(key):
+    """Every callable in key, classes aside, at any depth of its containers."""
+    if isinstance(key, (tuple, list, frozenset)):
+        for part in key:
+            yield from _callables_in(part)
+    elif callable(key) and not isinstance(key, type):
+        yield key
+
+
+def test_memo_keys_hold_structure_only(fresh_memo):
+    assert all(c.passed for c in run_all(12))
+    keys = list(memo._STORE)
+    assert any(key[0] == "images" for key in keys)
+    assert [key for key in keys if any(_callables_in(key))] == []
