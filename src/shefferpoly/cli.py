@@ -41,6 +41,11 @@ class CliError(Exception):
         self.code = code
 
 
+def _message(exc: Exception) -> str:
+    """An exception's message; str() of a KeyError would quote it."""
+    return str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+
+
 def _parse_fraction(name: str, text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -59,6 +64,8 @@ def _parse_params(items: list[str]) -> dict[str, Fraction]:
             raise CliError(f"--param expects name=p/q, got {item!r}")
         name, _, value = item.partition("=")
         name = name.strip()
+        if name in params:
+            raise CliError(f"--param {name} is given more than once")
         params[name] = _parse_fraction(name, value.strip())
     return params
 
@@ -163,7 +170,7 @@ def cmd_expand(args) -> int:
     try:
         pair = get_pair(args.pair, params or None)
     except KeyError as exc:
-        raise CliError(str(exc))
+        raise CliError(_message(exc))
     ns = _parse_n_range(args.n)
     order = args.order if args.order is not None else max(12, max(ns))
     if max(ns) > order:
@@ -241,7 +248,7 @@ def cmd_verify(args) -> int:
         try:
             checks = run_suite(args.suite, order=args.order, **kwargs)
         except KeyError as exc:
-            raise CliError(str(exc))
+            raise CliError(_message(exc))
     if args.pair and args.pair != "all":
         filtered = [c for c in checks if args.pair in c.name]
         if not filtered:
@@ -335,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return CAPACITY_ERROR
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return USAGE_ERROR
 
 

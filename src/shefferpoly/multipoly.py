@@ -121,6 +121,14 @@ def _collect(parts: list[tuple[Exponent, int, int]], den: int = 1) -> Num:
     return _reduced(acc, den * common)
 
 
+def _check_vars(mapping: Mapping[str, object]) -> None:
+    """Raise ValueError naming the first key of a substitution that is not
+    a variable."""
+    for v in mapping:
+        if v not in VAR_INDEX:
+            raise ValueError(f"cannot substitute {v!r}: the variables are x, y and z")
+
+
 def _wrap(num: Num) -> "MultiPoly":
     """The polynomial with the given (already reduced) fields, not copied."""
     p = object.__new__(MultiPoly)
@@ -315,8 +323,10 @@ class MultiPoly:
     def substitute(self, mapping: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Simultaneously replace variables by polynomials (or constants).
 
-        Variables absent from ``mapping`` are left in place.
+        Variables absent from ``mapping`` are left in place; a key that is
+        not x, y or z raises ``ValueError``.
         """
+        _check_vars(mapping)
         images: list[MultiPoly] = []
         for v in VARS:
             img = mapping.get(v)

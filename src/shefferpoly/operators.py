@@ -4,12 +4,13 @@ The operator algebra is generated by, per variable v in {x, y, z}:
 
 * ``Deriv(v)``     -- d/dv,           v^k -> k v^(k-1)
 * ``InvDeriv(v)``  -- antiderivative, v^k -> v^(k+1)/(k+1)
-* ``MulVar(v)``    -- multiplication by v
 
-together with multiplication by a fixed polynomial, rational scaling,
-sums and composition.  ``InvDeriv`` carries the vacuum normalisation
-InvDeriv(v)^n {1} = v^n / n!, i.e. the integration constant is always
-zero.
+and by ``MulPoly(p)``, multiplication by a fixed polynomial p, together
+with sums and composition.  The identity, a rational scaling and
+multiplication by a variable are the ``MulPoly`` of 1, of the scalar and
+of the variable (:func:`identity`, :func:`scale`, :func:`mul_var`).
+``InvDeriv`` carries the vacuum normalisation InvDeriv(v)^n {1} = v^n / n!,
+i.e. the integration constant is always zero.
 
 Operator power series h(B) = sum h_k B^k act through nilpotency: when B
 strictly lowers the degree in some variable the sum truncates after
@@ -24,31 +25,31 @@ accumulator, from the memoized images of b(e)'s monomials under a and of
 a(e)'s under b; it never reduces either side on its own.
 
 Each operator declares the variables its image reads (``reads()``, beside
-``deltas()``): ``Deriv(v)`` and ``InvDeriv(v)`` read v; ``MulVar``,
-``Scale``, ``Identity`` and ``MulPoly`` read nothing; a sum or composition
-reads the union of its parts, and an operator series what its base reads;
-an operator that declares nothing reads every variable.  The image of a
-monomial depends on the exponents of the read variables only up to
-translation: for s zero on them, op(x^(e + s)) = x^s op(x^e).  That holds
-for the leaves by their rules, and sums and compositions inherit it.  An
-operator series refuses a polynomial only by the degrees of the variables
-its base lowers, and a variable is lowered only through a ``Deriv`` of it,
-so it refuses x^(e + s) exactly when it refuses x^e.  Hence
+``deltas()``): ``Deriv(v)`` and ``InvDeriv(v)`` read v; ``MulPoly``
+reads nothing; a sum or composition reads the union of its parts, and an
+operator series what its base reads; an operator that declares nothing
+reads every variable.  The image of a monomial depends on the exponents of
+the read variables only up to translation: for s zero on them,
+op(x^(e + s)) = x^s op(x^e).  That holds for the leaves by their rules,
+and sums and compositions inherit it.  An operator series refuses a
+polynomial only by the degrees of the variables its base lowers, and a
+variable is lowered only through a ``Deriv`` of it, so it refuses
+x^(e + s) exactly when it refuses x^e.  Hence
 (ab - ba)(x^(e + s)) = x^s (ab - ba)(x^e), and :func:`commutator_check`
 tests only the monomials free of the variables neither a nor b reads:
 a failure or an exception at e + s is the same one at e, which comes
 earlier.  No family's raising or lowering operator reads z.
 
-Every leaf operator (``Deriv``, ``InvDeriv``, ``MulVar``, ``Scale``,
-``Identity``, ``MulPoly``) defines only its image of one monomial,
-``image(e)``.  All but a many-term ``MulPoly`` are weighted shifts, and set
-``shift``: they send x^e to one monomial w(e) x^(e + delta), or to zero.  A
-``Compose`` (so an ``op_pow``) of weighted shifts is one weighted shift: its
-image of x^e is one product of its leaves' weights along the path, with no
-intermediate polynomial.  An ``OpSeries`` h(B) over a weighted-shift base
-has the closed-form image sum_k h_k W_k(e) x^(e + k delta), where W_k(e) is
-the product of B's weights along e, B e, ..., B^(k-1) e; for B = d/dy this
-is h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k).  The shift bases d/dy,
+Every leaf operator (``Deriv``, ``InvDeriv``, ``MulPoly``) defines only
+its image of one monomial, ``image(e)``.  All but a many-term ``MulPoly``
+are weighted shifts, and set ``shift``: they send x^e to one monomial
+w(e) x^(e + delta), or to zero.  A ``Compose`` (so an ``op_pow``) of
+weighted shifts is one weighted shift: its image of x^e is one product of
+its leaves' weights along the path, with no intermediate polynomial.  An
+``OpSeries`` h(B) over a weighted-shift base has the closed-form image
+sum_k h_k W_k(e) x^(e + k delta), where W_k(e) is the product of B's
+weights along e, B e, ..., B^(k-1) e; for B = d/dy this is
+h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k).  The shift bases d/dy,
 Theta = -d/dx x d/dx and -d/dx x d/dy all take this path.  Both walks read
 each step's image as every memo holds it, a ``Num`` of one term or none.
 
@@ -78,7 +79,7 @@ memo has one of two lifetimes:
 * A weighted shift, and an ``OpSeries`` over a weighted-shift base, shares
   one memo with every operator of the same structure, kept in the ``memo``
   store until ``memo.clear()``.  The key is the structure only: a leaf's is
-  its class and its argument (the variable, the scale, or the polynomial);
+  its class and its argument (the variable or the polynomial);
   a shift ``Compose``'s is the tuple of its parts' keys; an ``OpSeries``'s
   is its class, the series numerators and denominator it reads, its cutoff
   and its base's key.  Every family's d/dy, Theta, f(d/dy) or (1/f')(Theta)
@@ -122,8 +123,9 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .checks import Check, compare
 from .memo import memo
-from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, Num, _collect, _sum, _wrap, as_poly
-from .series import OrderTooSmall, Series, _ratio
+from .multipoly import (VARS, VAR_INDEX, Exponent, MultiPoly, Num, _check_vars, _collect, _sum,
+                        _wrap, as_poly)
+from .series import OrderTooSmall, Series
 
 
 class OperatorError(ValueError):
@@ -274,15 +276,13 @@ class LinOp:
         return OpSum((self, other))
 
     def __neg__(self) -> "LinOp":
-        return Compose((Scale(Fraction(-1)), self))
+        return Compose((scale(-1), self))
 
     def __sub__(self, other: "LinOp") -> "LinOp":
         return OpSum((self, -other))
 
     def __rmul__(self, c) -> "LinOp":
-        if isinstance(c, (int, Fraction)):
-            return Compose((Scale(Fraction(c)), self))
-        if isinstance(c, MultiPoly):
+        if isinstance(c, (int, Fraction, MultiPoly)):
             return Compose((MulPoly(c), self))
         return NotImplemented
 
@@ -293,47 +293,11 @@ class LinOp:
         raise NotImplementedError
 
 
-class Identity(LinOp):
-    shift = True
-
-    def __init__(self):
-        self._leaf(None)
-
-    def image(self, e: Exponent) -> MultiPoly:
-        return _term(e)
-
-    def deltas(self) -> Deltas:
-        return _zero_deltas()
-
-    def reads(self) -> Reads:
-        return _READS_NONE
-
-    def render(self) -> str:
-        return "1"
-
-
-class Scale(LinOp):
-    shift = True
-
-    def __init__(self, c):
-        self.c = Fraction(*_ratio(c))
-        self._leaf(self.c)
-
-    def image(self, e: Exponent) -> MultiPoly:
-        return _term(e, self.c.numerator, self.c.denominator)
-
-    def deltas(self) -> Deltas:
-        return _zero_deltas()
-
-    def reads(self) -> Reads:
-        return _READS_NONE
-
-    def render(self) -> str:
-        return str(self.c)
-
-
 class MulPoly(LinOp):
-    """Multiplication by a fixed polynomial."""
+    """Multiplication by a fixed polynomial p, x^e -> p x^e: the one
+    multiplication leaf, so also the identity (p = 1), a rational scaling
+    (p constant) and multiplication by a variable (p = v).  With at most
+    one term it is a weighted shift and shares the memo of (MulPoly, p)."""
 
     def __init__(self, poly: MultiPoly):
         self.poly = as_poly(poly)
@@ -345,38 +309,16 @@ class MulPoly(LinOp):
         return self.poly * _term(e)
 
     def deltas(self) -> Deltas:
-        if self.poly.is_zero:
-            return _zero_deltas()
-        return {v: self.poly.degree_in(v) if self.poly.depends_on(v) else 0 for v in VARS}
+        # the zero polynomial has degree -1 in every variable
+        return {v: max(self.poly.degree_in(v), 0) for v in VARS}
 
     def reads(self) -> Reads:
         return _READS_NONE
 
     def render(self) -> str:
-        return f"({self.poly})"
-
-
-class MulVar(LinOp):
-    shift = True
-
-    def __init__(self, var: str):
-        self.var = var
-        self.index = VAR_INDEX[var]
-        self._leaf(var)
-
-    def image(self, e: Exponent) -> MultiPoly:
-        return _term(_bump(e, self.index, 1))
-
-    def deltas(self) -> Deltas:
-        d = _zero_deltas()
-        d[self.var] = 1
-        return d
-
-    def reads(self) -> Reads:
-        return _READS_NONE
-
-    def render(self) -> str:
-        return f"{self.var}"
+        s = str(self.poly)
+        # a constant or a bare variable needs no parentheses
+        return s if self.poly.total_degree() <= 0 or s in VARS else f"({s})"
 
 
 class Deriv(LinOp):
@@ -617,19 +559,19 @@ def inv_deriv(var: str) -> LinOp:
 
 
 def mul_var(var: str) -> LinOp:
-    return MulVar(var)
+    return MulPoly(MultiPoly.var(var))
 
 
 def mul_poly(p) -> LinOp:
-    return MulPoly(as_poly(p))
+    return MulPoly(p)
 
 
 def scale(c) -> LinOp:
-    return Scale(c)
+    return MulPoly(MultiPoly.const(c))
 
 
 def identity() -> LinOp:
-    return Identity()
+    return scale(1)
 
 
 def compose(*ops: LinOp) -> LinOp:
@@ -644,7 +586,7 @@ def op_pow(op: LinOp, k: int) -> LinOp:
     if k < 0:
         raise ValueError("negative operator power")
     if k == 0:
-        return Identity()
+        return identity()
     return Compose((op,) * k)
 
 
@@ -748,7 +690,7 @@ def crofton_check(m: int, lam: MultiPoly, f_poly: MultiPoly) -> Check:
     if f_poly.depends_on("x") or f_poly.depends_on("z"):
         raise OperatorError("the test polynomial must involve y only")
     shifted_arg = OpSum(
-        (MulVar("y"), Compose((Scale(m), MulPoly(lam), op_pow(Deriv("y"), m - 1))))
+        (mul_var("y"), Compose((scale(m), MulPoly(lam), op_pow(Deriv("y"), m - 1))))
     )
     lhs = substitute_operators(f_poly, {"y": shifted_arg})
     rhs = exp_operator([(lam, op_pow(Deriv("y"), m))], f_poly)
@@ -764,8 +706,10 @@ def substitute_operators(
     op^e {1}; plain images contribute ordinary powers.  The contributions
     are multiplied together, which is sound exactly when each operator
     acts on variables absent from the other factors (true for every
-    substitution recipe used in this package).
+    substitution recipe used in this package).  A key that is not x, y or
+    z raises ``ValueError``.
     """
+    _check_vars(mapping)
     one = MultiPoly.const(1)
     scaled = []
     for exps, n in p._nums.items():

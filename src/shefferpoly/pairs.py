@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .memo import memo
-from .series import OrderTooSmall, Series
+from .series import OrderTooSmall, Series, _ratio
 
 Params = dict[str, Fraction]
 
@@ -429,7 +429,10 @@ def pair_names() -> list[str]:
 
 
 def get_pair(name: str, overrides: Params | None = None) -> ShefferPair:
-    """Look up a pair by name, optionally overriding its rational parameters."""
+    """Look up a pair by name, optionally overriding its rational parameters.
+
+    Each override is read by the one scalar rule: an int or a Fraction, else
+    ``NonScalarCoefficient``."""
     by_name = {p.name: p for p in _CATALOG}
     by_name.update(_EXTRA)
     pair = by_name.get(name)
@@ -441,7 +444,7 @@ def get_pair(name: str, overrides: Params | None = None) -> ShefferPair:
         for k, v in overrides.items():
             if k not in params:
                 raise KeyError(f"pair {name!r} has no parameter {k!r}")
-            params[k] = Fraction(v)
+            params[k] = Fraction(*_ratio(v))
         pair = ShefferPair(
             pair.name,
             pair.family,

@@ -96,6 +96,32 @@ def test_exit_code_bad_param():
     assert code == 2
 
 
+_KNOWN_PAIRS = ("actuarial, bernoulli2, bessel, exponential, generalized-hermite, hahn, "
+                "identity, laguerre, lower-factorial, mittag-leffler, peters, pidduck, "
+                "poisson-charlier, related, shively")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["list", "--pair", "nosuch"], f"unknown pair 'nosuch'; known pairs: {_KNOWN_PAIRS}"),
+    (["verify", "--suite", "nosuch"],
+     "unknown suite 'nosuch'; known: biorthogonality, crofton, heat, integral, inverse, "
+     "monomiality, operational, oracle, reductions, all"),
+    (["expand", "--pair", "laguerre", "--param", "beta=1", "--n", "1"],
+     "pair 'laguerre' has no parameter 'beta'"),
+], ids=["list-pair", "verify-suite", "expand-param"])
+def test_unknown_name_error_line_is_not_quoted(argv, line, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {line}\n"
+
+
+def test_repeated_param_is_one_usage_error_line(capsys):
+    assert main(["expand", "--pair", "laguerre", "--param", "alpha=1", "--param", "alpha=2",
+                 "--n", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --param alpha is given more than once\n"
+
+
 def test_exit_code_capacity():
     code, _, err = run_cli("expand", "--pair", "identity", "--n", "20",
                            "--order", "12")

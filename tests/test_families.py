@@ -7,12 +7,14 @@ import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
 from shefferpoly import (
     MultiPoly,
+    NonScalarCoefficient,
     OrderTooSmall,
     Series,
     catalog,
@@ -366,8 +368,15 @@ def test_pair_f_is_delta_g_is_unit():
 def test_pair_param_override():
     pc = get_pair("poisson-charlier", {"a": F(2)})
     assert pc.resolved(4).f.coeffs[1] == 2
+    assert get_pair("poisson-charlier", {"a": 2}).params == pc.params
     with pytest.raises(KeyError):
         get_pair("poisson-charlier", {"nu": F(1)})
+
+
+@pytest.mark.parametrize("value", [0.1, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"])
+def test_pair_param_override_refuses_an_inexact_scalar(value):
+    with pytest.raises(NonScalarCoefficient):
+        get_pair("laguerre", {"alpha": value})
 
 
 def test_cached_series_cannot_be_corrupted():

@@ -88,6 +88,12 @@ def test_substitute_plain():
     assert q.substitute({"x": Y, "y": X}) == X * Y
 
 
+@pytest.mark.parametrize("key", ["X", "t", ""])
+def test_substitute_refuses_a_key_that_is_not_a_variable(key):
+    with pytest.raises(ValueError, match=f"cannot substitute '{key}'"):
+        (X ** 2).substitute({"y": 1, key: 0})
+
+
 def test_render_graded_lex():
     p = Y ** 2 + 2 * X + 2 * Z
     assert str(p) == "y^2 + 2*x + 2*z"

@@ -18,6 +18,7 @@ from shefferpoly import (
     MixedFamily,
     MultiPoly,
     NonNilpotentGenerator,
+    NonScalarCoefficient,
     OpSeries,
     Series,
     catalog,
@@ -246,6 +247,11 @@ def test_substitute_mixed_plain_and_operator():
     got = substitute_operators(
         p, {"z": compose(mul_var("y"), deriv("y"), mul_var("y"))})
     assert got == X * (2 * Y ** 2)
+
+
+def test_substitute_operators_refuses_a_key_that_is_not_a_variable():
+    with pytest.raises(ValueError, match="cannot substitute 'Y'"):
+        substitute_operators(Y ** 2, {"Y": deriv("y")})
 
 
 def test_operator_rendering_is_stable():
@@ -485,7 +491,8 @@ def test_nested_op_series_keeps_its_checks(make, p, exc, message):
     assert str(info.value) == message
 
 
-# one instance factory per LinOp subclass (MulPoly twice: one term and many)
+# one instance factory per LinOp subclass, and per multiplication factory
+# (all MulPoly: the identity, a scaling, one term, many terms, a variable)
 EVERY_OPERATOR = [
     ("identity", identity),
     ("scale", lambda: scale(F(2, 3))),
@@ -520,6 +527,62 @@ def test_applied_value_does_not_alias_the_memo(name, make):
         got.terms[(7, 7, 7)] = F(5)
         assert op.apply(p).terms == want
         assert make().apply(p).terms == want
+
+
+def test_operator_classes_are_three_leaves_and_three_composites():
+    assert {c.__name__ for c in _subclasses(LinOp)} == {
+        "Deriv", "InvDeriv", "MulPoly", "OpSum", "Compose", "OpSeries"}
+
+
+def test_scale_refuses_an_inexact_scalar():
+    with pytest.raises(NonScalarCoefficient):
+        scale(0.5)
+
+
+def _family(pair, kind):
+    return MixedFamily(get_pair(pair), kind, 2, 4)
+
+
+RENDERED = dict(EVERY_OPERATOR) | {
+    "theta": theta_operator,
+    "exp generator": lambda: exp_generator([(1, deriv("y")), (X, op_pow(deriv("y"), 2))]),
+    "laguerre/S M": lambda: _family("laguerre", "S").raising_operator(),
+    "laguerre/S P": lambda: _family("laguerre", "S").lowering_operator(),
+    "hahn/R printed M": lambda: _family("hahn", "R").raising_operator("printed"),
+    "hahn/R printed P": lambda: _family("hahn", "R").lowering_operator("printed"),
+    "hahn/R theta M": lambda: _family("hahn", "R").raising_operator("theta"),
+    "hahn/R theta P": lambda: _family("hahn", "R").lowering_operator("theta"),
+}
+
+# a MulPoly prints a constant or a bare variable as it is, anything else as (p)
+RENDERS = {
+    "identity": "1",
+    "scale": "2/3",
+    "mul_poly monomial": "(3*z)",
+    "mul_poly": "(x + 2*z)",
+    "mul_var": "y",
+    "deriv": "d/dy",
+    "inv_deriv": "D_y^-1",
+    "op_sum": "(x + d/dy)",
+    "compose": "x∘d/dy",
+    "op_series": "[1 + t + 1/2*t^2 + 1/6*t^3 + 1/24*t^4 + 1/120*t^5 + 1/720*t^6 + O(t^7)](d/dy)",
+    "theta": "-1∘d/dx∘x∘d/dx",
+    "exp generator": "(1∘d/dy + x∘d/dy∘d/dy)",
+    "laguerre/S M": "(y + 2∘D_x^-1∘d/dy + 2∘z∘d/dy + [-1 - t - t^2 - t^3 + O(t^4)](d/dy))"
+                    "∘[-1 + 2*t - t^2 + O(t^4)](d/dy)",
+    "laguerre/S P": "[-t - t^2 - t^3 - t^4 + O(t^5)](d/dy)",
+    "hahn/R printed M": "(-1∘D_x^-1 + D_y^-1 + 2∘z∘d/dy + [-t - 1/3*t^3 + O(t^4)](d/dy))"
+                        "∘[1 - t^2 + O(t^4)](d/dy)",
+    "hahn/R printed P": "[t + 1/3*t^3 + O(t^5)](-1∘d/dx∘x∘d/dy)",
+    "hahn/R theta M": "(-1∘D_x^-1 + D_y^-1 + 2∘z∘-1∘d/dx∘x∘d/dx"
+                      " + [-t - 1/3*t^3 + O(t^4)](-1∘d/dx∘x∘d/dx))"
+                      "∘[1 - t^2 + O(t^4)](-1∘d/dx∘x∘d/dx)",
+    "hahn/R theta P": "[t + 1/3*t^3 + O(t^5)](-1∘d/dx∘x∘d/dx)",
+}
+
+
+def test_renders_are_pinned():
+    assert {name: make().render() for name, make in RENDERED.items()} == RENDERS
 
 
 # -- read variables -------------------------------------------------------------------
@@ -756,6 +819,10 @@ def test_weighted_shifts_share_one_memo_per_structure():
     assert deriv("y")._images is deriv("y")._images
     assert theta_operator()._images is theta_operator()._images
     assert mul_poly(3 * Z)._images is mul_poly(3 * Z)._images
+    # the multiplication factories share the memo of their polynomial
+    assert identity()._images is op_pow(deriv("x"), 0)._images is mul_poly(1)._images
+    assert scale(F(2, 3))._images is mul_poly(F(2, 3))._images
+    assert mul_var("z")._images is mul_poly(Z)._images
     deriv("y").apply(Y ** 30)
     assert (0, 30, 0) in deriv("y")._images  # filled through another instance
     for a, b in [(deriv("y"), deriv("x")), (deriv("y"), inv_deriv("y")),
@@ -1012,9 +1079,9 @@ def _inv_deriv_wrong_constant(self, e):
     return MultiPoly({e[:self.index] + (k + 1,) + e[self.index + 1:]: F(1, k + 2)})
 
 
-def _mul_var_squared(self, e):
-    """A multiplication by v that multiplies by v^2."""
-    return MultiPoly({e[:self.index] + (e[self.index] + 2,) + e[self.index + 1:]: 1})
+def _mul_poly_squared(self, e):
+    """A multiplication by p that multiplies by p^2."""
+    return self.poly ** 2 * MultiPoly.monomial(e)
 
 
 _SERIES_IMAGE = OpSeries._image
@@ -1052,7 +1119,10 @@ def _failing(**counts):
 # every row was recorded in a fresh interpreter, under an empty memo store,
 # from the kernel that kept a weighted shift's images in a form of their own
 # (its fused walk was Compose._shift there); the first is the subprocess
-# digest's fault, in process
+# digest's fault, in process.  The mul-poly-squared row was recorded from
+# the kernel with three more multiplication leaves (the identity, a scaling
+# and multiplication by a variable), with the same squaring planted on all
+# four
 KERNEL_FAULTS = {
     "deriv-off-by-one": (operators.Deriv, "image", _off_by_one_deriv(lambda k: True),
                          _DERIV_FAULT_COUNTS),
@@ -1064,8 +1134,9 @@ KERNEL_FAULTS = {
     "compose-walk-plus-one": (operators.Compose, "_image", _path_weight_plus_one,
                               _failing(crofton=9, heat=16, monomiality=56, operational=56,
                                        oracle=1, reductions=15)),
-    "mul-var-squared": (operators.MulVar, "image", _mul_var_squared,
-                        _failing(crofton=24, heat=6, monomiality=56, oracle=1, reductions=6)),
+    "mul-poly-squared": (operators.MulPoly, "image", _mul_poly_squared,
+                         _failing(crofton=24, heat=13, monomiality=56, operational=56,
+                                  oracle=1, reductions=12)),
 }
 
 
