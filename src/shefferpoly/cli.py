@@ -167,10 +167,7 @@ def _check_order(order: int | None) -> None:
 def cmd_expand(args) -> int:
     _check_order(args.order)
     params = _parse_params(args.param)
-    try:
-        pair = get_pair(args.pair, params or None)
-    except KeyError as exc:
-        raise CliError(_message(exc))
+    pair = get_pair(args.pair, params or None)
     ns = _parse_n_range(args.n)
     order = args.order if args.order is not None else max(12, max(ns))
     if max(ns) > order:
@@ -235,20 +232,14 @@ def cmd_verify(args) -> int:
     _check_order(args.order)
     if args.pair and args.pair != "all":
         get_pair(args.pair)  # an unknown name is a usage error
-    kwargs = {}
-    if args.max_n is not None:
-        if args.max_n < 0:
-            raise CliError("--max-n must be >= 0")
-        kwargs["max_n"] = args.max_n
+    if args.max_n is not None and args.max_n < 0:
+        raise CliError("--max-n must be >= 0")
     if args.suite == "all":
         if args.max_n is not None:
             raise CliError("--max-n applies to a single --suite, not 'all'")
         checks = run_all(order=args.order)
     else:
-        try:
-            checks = run_suite(args.suite, order=args.order, **kwargs)
-        except KeyError as exc:
-            raise CliError(_message(exc))
+        checks = run_suite(args.suite, args.order, args.max_n)
     if args.pair and args.pair != "all":
         filtered = [c for c in checks if args.pair in c.name]
         if not filtered:

@@ -59,7 +59,6 @@ from .operators import (
     op_pow,
     op_sum,
     scale,
-    substitute_operators,
 )
 from .pairs import ShefferPair
 from .series import OrderTooSmall, Series
@@ -366,13 +365,10 @@ class _Reduction:
     requires_r: int | None = None
 
 
-def _moment_scale_xy(p: MultiPoly) -> MultiPoly:
-    """Scale each monomial by (total degree)!: the Gamma-moment image of
-    p(s*x, s*y) integrated against e^(-s)."""
-    return p.scale_monomials(lambda e: math.factorial(sum(e)))
-
-
 def _make_reductions() -> dict[str, _Reduction]:
+    # each recipe is one simultaneous substitution into member(n); its
+    # operator images are built per call, so that they read the memo store
+    # of the moment
     R: dict[str, _Reduction] = {}
 
     # x = 0: Gould-Hopper based member in (y, z)
@@ -393,30 +389,26 @@ def _make_reductions() -> dict[str, _Reduction]:
     # member (r plays m)
     R["ex3"] = _Reduction(
         "S",
-        lambda fam, n: substitute_operators(
-            fam.member(n).substitute({"x": 0}),
-            {"y": compose(scale(-1), inv_deriv("x")), "z": _Y},
-        ),
+        lambda fam, n: fam.member(n).substitute(
+            {"x": 0, "y": compose(scale(-1), inv_deriv("x")), "z": _Y}),
         lambda r: (c0_compose(_X), exp_factor(_Y, r)),
     )
 
-    # x = 0, y -> s*x, z -> s*y, then the moment rule s^k -> k!: generalized
+    # x = 0, y -> s*x, z -> s*y, then the moment rule s^k -> k!, which
+    # scales each monomial by its total degree's factorial: generalized
     # Chebyshev based member (ordinary generating weight)
     R["ex4"] = _Reduction(
         "S",
-        lambda fam, n: _moment_scale_xy(
-            fam.member(n).substitute({"x": 0}).substitute({"y": _X, "z": _Y})
-        ),
+        lambda fam, n: fam.member(n).substitute({"x": 0, "y": _X, "z": _Y})
+        .scale_monomials(lambda e: math.factorial(sum(e))),
         lambda r: (geometric((_X, 1), (_Y, r)),),
     )
 
     # r = 1, x = 0, z -> -D_x^(-1){1}: two-variable Laguerre based member
     R["ex5"] = _Reduction(
         "S",
-        lambda fam, n: substitute_operators(
-            fam.member(n).substitute({"x": 0}),
-            {"z": compose(scale(-1), inv_deriv("x"))},
-        ),
+        lambda fam, n: fam.member(n).substitute(
+            {"x": 0, "z": compose(scale(-1), inv_deriv("x"))}),
         lambda r: (c0_compose(_X), exp_factor(_Y)),
         requires_r=1,
     )
@@ -432,10 +424,8 @@ def _make_reductions() -> dict[str, _Reduction]:
     # based member
     R["ex7"] = _Reduction(
         "S",
-        lambda fam, n: substitute_operators(
-            fam.member(n).substitute({"x": 0}),
-            {"y": _X, "z": compose(mul_var("y"), deriv("y"), mul_var("y"))},
-        ),
+        lambda fam, n: fam.member(n).substitute(
+            {"x": 0, "y": _X, "z": compose(mul_var("y"), deriv("y"), mul_var("y"))}),
         lambda r: (exp_factor(_X), geometric((_Y, r))),
     )
 
@@ -450,32 +440,25 @@ def _make_reductions() -> dict[str, _Reduction]:
     # r = 2, x = 0, y -> D_x^(-1){1}, z -> y: Hermite-type G_n based member
     R["ex9"] = _Reduction(
         "S",
-        lambda fam, n: substitute_operators(
-            fam.member(n).substitute({"x": 0}),
-            {"y": inv_deriv("x"), "z": _Y},
-        ),
+        lambda fam, n: fam.member(n).substitute({"x": 0, "y": inv_deriv("x"), "z": _Y}),
         lambda r: (c0_compose(-_X), exp_factor(_Y, 2)),
         requires_r=2,
     )
 
     # x -> (x^2-1)/4, y -> x, z = 0: Legendre P_n based member
-    quarter = Fraction(1, 4)
+    quarter = (_X * _X - 1) * Fraction(1, 4)
     R["ex10"] = _Reduction(
         "S",
-        lambda fam, n: fam.member(n).substitute(
-            {"x": (_X * _X - 1) * quarter, "y": _X, "z": 0}
-        ),
-        lambda r: (c0_compose(-((_X * _X - 1) * quarter), 2), exp_factor(_X)),
+        lambda fam, n: fam.member(n).substitute({"x": quarter, "y": _X, "z": 0}),
+        lambda r: (c0_compose(-quarter, 2), exp_factor(_X)),
     )
 
     # r = 3, x -> (z d/dz z)^k{1} = k! z^k, y -> x, z -> y: Bell-type based
     # member
     R["ex11"] = _Reduction(
         "S",
-        lambda fam, n: substitute_operators(
-            fam.member(n),
-            {"x": compose(mul_var("z"), deriv("z"), mul_var("z")), "y": _X, "z": _Y},
-        ),
+        lambda fam, n: fam.member(n).substitute(
+            {"x": compose(mul_var("z"), deriv("z"), mul_var("z")), "y": _X, "z": _Y}),
         lambda r: (exp_factor(_X), exp_factor(_Y, 3), exp_factor(_Z, 2)),
         requires_r=3,
     )
@@ -485,36 +468,29 @@ def _make_reductions() -> dict[str, _Reduction]:
     # (sign fixed so the Laguerre argument matches its series definition)
     R["ex3r"] = _Reduction(
         "R",
-        lambda fam, n: fam.member(n)
-        .substitute({"y": 0})
-        .substitute({"z": _Y, "x": -_X}),
+        lambda fam, n: fam.member(n).substitute({"y": 0, "z": _Y, "x": -_X}),
         lambda r: (c0_compose(-_X), exp_factor(_Y, r)),
     )
     # r = 1, y = 0, z -> y: two-variable Laguerre based member
     R["ex5r"] = _Reduction(
         "R",
-        lambda fam, n: fam.member(n).substitute({"y": 0}).substitute({"z": _Y}),
+        lambda fam, n: fam.member(n).substitute({"y": 0, "z": _Y}),
         lambda r: (c0_compose(_X), exp_factor(_Y)),
         requires_r=1,
     )
     # r = 2, x = 0, y -> x, z -> y: Hermite-type based member
     R["ex9r"] = _Reduction(
         "R",
-        lambda fam, n: fam.member(n)
-        .substitute({"x": 0})
-        .substitute({"y": _X, "z": _Y}),
+        lambda fam, n: fam.member(n).substitute({"x": 0, "y": _X, "z": _Y}),
         lambda r: (c0_compose(-_X), exp_factor(_Y, 2)),
         requires_r=2,
     )
     # r = 1, x -> (1-x)/2, y -> (1+x)/2, z = 0: Legendre based member
-    half = Fraction(1, 2)
+    one_minus, one_plus = (1 - _X) * Fraction(1, 2), (_X + 1) * Fraction(1, 2)
     R["ex10r"] = _Reduction(
         "R",
-        lambda fam, n: fam.member(n).substitute(
-            {"x": (MultiPoly.const(1) - _X) * half, "y": (_X + 1) * half, "z": 0}
-        ),
-        lambda r: (c0_compose((MultiPoly.const(1) - _X) * half),
-                   c0_compose(-((_X + 1) * half))),
+        lambda fam, n: fam.member(n).substitute({"x": one_minus, "y": one_plus, "z": 0}),
+        lambda r: (c0_compose(one_minus), c0_compose(-one_plus)),
         requires_r=1,
     )
     return R

@@ -320,31 +320,38 @@ class MultiPoly:
 
     # -- substitution --------------------------------------------------------
 
-    def substitute(self, mapping: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
-        """Simultaneously replace variables by polynomials (or constants).
+    def substitute(self, mapping: Mapping[str, "MultiPoly | Scalar | Callable"]) -> "MultiPoly":
+        """Simultaneously replace variables by polynomials, constants or
+        operators applied to 1.
 
         Variables absent from ``mapping`` are left in place; a key that is
-        not x, y or z raises ``ValueError``.
+        not x, y or z raises ``ValueError``, and a scalar image is read by
+        the module's scalar rule.  A callable image is an operator (an
+        ``operators.LinOp``), whose e-th power is op^e {1}.  Each image
+        keeps a table of its powers, entry e filled from entry e - 1: by
+        one more multiplication for a polynomial, by one more application
+        for an operator.  A monomial's image is the product of its
+        variables' entries, which is sound for an operator image exactly
+        when the operator acts on variables that the other factors do not
+        use (true of every reduction recipe and shift identity in this
+        package).
         """
         _check_vars(mapping)
-        images: list[MultiPoly] = []
+        images = []
         for v in VARS:
             img = mapping.get(v)
             if img is None:
-                images.append(MultiPoly.var(v))
-            elif isinstance(img, MultiPoly):
-                images.append(img)
-            else:
-                images.append(MultiPoly.const(img))
-        # power tables keep repeated exponents cheap
-        powers: list[dict[int, MultiPoly]] = [{0: MultiPoly.const(1)} for _ in VARS]
+                img = MultiPoly.var(v)
+            elif not (isinstance(img, MultiPoly) or callable(img)):
+                img = MultiPoly.const(img)
+            images.append(img)
+        powers: list[list[MultiPoly]] = [[MultiPoly.const(1)] for _ in VARS]
 
         def power(i: int, e: int) -> MultiPoly:
-            tab = powers[i]
-            got = tab.get(e)
-            if got is None:
-                got = tab[e] = power(i, e - 1) * images[i]
-            return got
+            tab, img = powers[i], images[i]
+            while len(tab) <= e:
+                tab.append(img(tab[-1]) if callable(img) else tab[-1] * img)
+            return tab[e]
 
         scaled = []
         for exps, n in self._nums.items():

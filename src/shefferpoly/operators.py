@@ -123,8 +123,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .checks import Check, compare
 from .memo import memo
-from .multipoly import (VARS, VAR_INDEX, Exponent, MultiPoly, Num, _check_vars, _collect, _sum,
-                        _wrap, as_poly)
+from .multipoly import VARS, VAR_INDEX, Exponent, MultiPoly, Num, _collect, _sum, _wrap, as_poly
 from .series import OrderTooSmall, Series
 
 
@@ -692,7 +691,7 @@ def crofton_check(m: int, lam: MultiPoly, f_poly: MultiPoly) -> Check:
     shifted_arg = OpSum(
         (mul_var("y"), Compose((scale(m), MulPoly(lam), op_pow(Deriv("y"), m - 1))))
     )
-    lhs = substitute_operators(f_poly, {"y": shifted_arg})
+    lhs = f_poly.substitute({"y": shifted_arg})
     rhs = exp_operator([(lam, op_pow(Deriv("y"), m))], f_poly)
     return compare("crofton", f"shift identity m={m}", lhs, rhs, form="{} != {}")
 
@@ -700,29 +699,6 @@ def crofton_check(m: int, lam: MultiPoly, f_poly: MultiPoly) -> Check:
 def substitute_operators(
     p: MultiPoly, mapping: Mapping[str, "LinOp | MultiPoly | int | Fraction"]
 ) -> MultiPoly:
-    """Substitute variables by polynomials or by operators applied to 1.
-
-    Monomial by monomial, each operator-valued image contributes
-    op^e {1}; plain images contribute ordinary powers.  The contributions
-    are multiplied together, which is sound exactly when each operator
-    acts on variables absent from the other factors (true for every
-    substitution recipe used in this package).  A key that is not x, y or
-    z raises ``ValueError``.
-    """
-    _check_vars(mapping)
-    one = MultiPoly.const(1)
-    scaled = []
-    for exps, n in p._nums.items():
-        term = one
-        for v, e in zip(VARS, exps):
-            if not e:
-                continue
-            image = mapping.get(v)
-            if image is None:
-                term = term * MultiPoly.var(v) ** e
-            elif isinstance(image, LinOp):
-                term = term * op_pow(image, e).apply(one)
-            else:
-                term = term * as_poly(image) ** e
-        scaled.append((n, (term._nums, term._den)))
-    return _wrap(_sum(scaled, p._den))
+    """``p.substitute(mapping)``, under the name that callers outside the
+    package still use: :meth:`MultiPoly.substitute` takes operator images."""
+    return p.substitute(mapping)

@@ -133,24 +133,6 @@ def row_truncated_exponential(n: int, r: int) -> MultiPoly:
     return out
 
 
-def row_hermite(n: int) -> MultiPoly:
-    """H_n(x, y) = n! sum_k x^(n-2k) y^k / (k! (n-2k)!)."""
-    out = MultiPoly.zero()
-    for k in range(n // 2 + 1):
-        c = Fraction(_fact(n), _fact(k) * _fact(n - 2 * k))
-        out = out + _mono(n - 2 * k, k, 0, c)
-    return out
-
-
-def row_hermite_type(n: int) -> MultiPoly:
-    """G_n(x, y) = n! sum_k y^k x^(n-2k) / (k! [(n-2k)!]^2)."""
-    out = MultiPoly.zero()
-    for k in range(n // 2 + 1):
-        c = Fraction(_fact(n), _fact(k) * _fact(n - 2 * k) ** 2)
-        out = out + _mono(n - 2 * k, k, 0, c)
-    return out
-
-
 def row_legendre_P(n: int) -> MultiPoly:
     """P_n(x) = n! sum_k (x^2-1)^k x^(n-2k) / (2^(2k) (k!)^2 (n-2k)!)."""
     out = MultiPoly.zero()
@@ -179,8 +161,8 @@ _ROWS: dict[str, Callable[..., MultiPoly]] = {
     "V": row_laguerre,
     "VI": row_legendre_R,
     "VII": row_truncated_exponential,
-    "VIII": row_hermite,
-    "IX": row_hermite_type,
+    "VIII": lambda n: row_gould_hopper(n, 2),  # Hermite H_n, row I at r = 2
+    "IX": lambda n: row_laguerre_type(n, 2),  # Hermite-type G_n, row III at m = 2
     "X": row_legendre_P,
     "XI": row_bell_type,
 }
@@ -325,14 +307,14 @@ _TABLE: list[tuple[str, str, int, Callable[[int], MultiPoly]]] = [
     ("V (r=1)", "ex5", 1, row_laguerre),
     ("VII (r=2)", "ex7", 2, lambda n: row_truncated_exponential(n, 2)),
     ("VII (r=3)", "ex7", 3, lambda n: row_truncated_exponential(n, 3)),
-    ("VIII (r=2)", "ex8", 2, row_hermite),
-    ("IX (r=2)", "ex9", 2, row_hermite_type),
+    ("VIII (r=2)", "ex8", 2, lambda n: row_gould_hopper(n, 2)),
+    ("IX (r=2)", "ex9", 2, lambda n: row_laguerre_type(n, 2)),
     ("X (r=2)", "ex10", 2, row_legendre_P),
     ("XI (r=3)", "ex11", 3, row_bell_type),
     ("III (m=2)", "ex3r", 2, lambda n: row_laguerre_type(n, 2) * _fact(n)),
     ("V (r=1)", "ex5r", 1, lambda n: row_laguerre(n) * _fact(n)),
     ("VI", "ex6", 2, row_legendre_R),
-    ("IX (r=2)", "ex9r", 2, lambda n: row_hermite_type(n) * _fact(n)),
+    ("IX (r=2)", "ex9r", 2, lambda n: row_laguerre_type(n, 2) * _fact(n)),
     ("X (r=1)", "ex10r", 1, row_legendre_P),
 ]
 _IN_YZ = ("ex1", "ex8")
@@ -394,7 +376,7 @@ def _suite_lagrange_vs_newton(max_n: int) -> list[Check]:
     return out
 
 
-_SUITES: dict[str, Callable[[int], list[Check]]] = {
+SUITES: dict[str, Callable[[int], list[Check]]] = {
     "ghp-vs-explicit": _suite_ghp_vs_explicit,
     "leghpS-vs-table1": partial(_suite_table, "S"),
     "leghpR-vs-table1": partial(_suite_table, "R"),
@@ -404,12 +386,12 @@ _SUITES: dict[str, Callable[[int], list[Check]]] = {
 
 
 def suite_names() -> list[str]:
-    return sorted(_SUITES)
+    return sorted(SUITES)
 
 
 def cross_validate(suite: str, max_n: int) -> list[Check]:
     """Run one registered engine-vs-oracle comparison exhaustively."""
-    fn = _SUITES.get(suite)
+    fn = SUITES.get(suite)
     if fn is None:
         raise UnknownSuite(
             f"unknown suite {suite!r}; known suites: {', '.join(suite_names())}")

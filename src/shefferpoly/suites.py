@@ -33,7 +33,7 @@ from .operators import (
     mul_var,
     op_pow,
 )
-from .oracle import cross_validate
+from .oracle import SUITES as ORACLE_SUITES, cross_validate
 from .pairs import catalog, get_pair
 
 _Y = MultiPoly.var("y")
@@ -50,11 +50,10 @@ def _at_n(c: Check) -> str:
     return f"n={c.n}: "
 
 
-def suite_inverse(order: int = DEFAULT_ORDER,
-                  max_n: int | None = None) -> list[Check]:
+def suite_inverse(order: int = DEFAULT_ORDER) -> list[Check]:
     """Compositional-inverse and A-series conformance for every pair that
-    states closed forms for H and A.  (max_n is accepted for CLI
-    uniformity; the check is per-pair, not per-n.)"""
+    states closed forms for H and A; the check is per pair, so it takes no
+    max_n."""
     out = []
     for pair in catalog():
         built = pair.build(order)
@@ -202,8 +201,9 @@ def suite_heat(order: int = 12, max_n: int = 10) -> list[Check]:
     return out
 
 
-def suite_crofton(order: int = DEFAULT_ORDER, max_n: int | None = None) -> list[Check]:
-    """The shift identity f(y + m lam d^(m-1)/dy^(m-1)){1} = exp(lam d^m/dy^m) f(y)."""
+def suite_crofton(order: int = DEFAULT_ORDER) -> list[Check]:
+    """The shift identity f(y + m lam d^(m-1)/dy^(m-1)){1} = exp(lam d^m/dy^m) f(y),
+    on a fixed set of cases, so it takes no max_n."""
     out = []
     z = MultiPoly.var("z")
     lams = {"z": z, "2z": z * 2, "z^2": z * z}
@@ -218,8 +218,7 @@ def suite_crofton(order: int = DEFAULT_ORDER, max_n: int | None = None) -> list[
 def suite_oracle(order: int = DEFAULT_ORDER, max_n: int = 8) -> list[Check]:
     """The engine-vs-oracle cross validations."""
     out = []
-    for name in ("ghp-vs-explicit", "leghpS-vs-table1", "leghpR-vs-table1",
-                 "series-vs-naive-convolution", "lagrange-vs-newton"):
+    for name in ORACLE_SUITES:
         checks = cross_validate(name, max_n)
         out.append(first_failure("oracle", f"{name} ({len(checks)} comparisons)",
                                  checks, lambda c: f"{c.name}: "))
@@ -239,6 +238,9 @@ def suite_reductions(order: int = DEFAULT_ORDER, max_n: int = 6) -> list[Check]:
                 (fam.reduce(rid, n) for n in range(max_n + 1)), _at_n))
     return out
 
+
+# the suites whose size no max_n sets
+_FIXED_SIZE = ("crofton", "inverse")
 
 SUITES = {
     "inverse": suite_inverse,
@@ -261,6 +263,8 @@ def run_suite(name: str, order: int = DEFAULT_ORDER,
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}, all")
     if max_n is None:
         return fn(order)
+    if name in _FIXED_SIZE:
+        raise ValueError(f"--max-n does not apply to suite {name!r}, which has a fixed size")
     return fn(order, max_n)
 
 

@@ -194,8 +194,16 @@ def test_verify_negative_max_n_is_usage_error(capsys, suite):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_max_n_zero_is_accepted(capsys, suite):
-    # max_n = 0 is the smallest valid bound for every suite
+    # max_n = 0 is the smallest valid bound for every suite that reads one;
+    # the two of fixed size refuse any --max-n rather than ignore it
     assert len(SUITES) == 9
+    if suite in ("crofton", "inverse"):
+        for max_n in ("0", "99999999"):
+            assert main(["verify", "--suite", suite, "--max-n", max_n]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                f"error: --max-n does not apply to suite {suite!r}, which has a fixed size\n")
+        return
     assert main(["verify", "--suite", suite, "--max-n", "0"]) == 0
     assert capsys.readouterr().err == ""
 

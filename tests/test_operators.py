@@ -39,7 +39,7 @@ from shefferpoly import (
     theta_operator,
 )
 from shefferpoly import memo, mixed, operators
-from shefferpoly.multipoly import VARS
+from shefferpoly.multipoly import VARS, as_poly
 from shefferpoly.operators import (
     LinOp,
     OperatorError,
@@ -47,7 +47,7 @@ from shefferpoly.operators import (
     monomials_up_to,
 )
 from shefferpoly.series import OrderTooSmall
-from shefferpoly.suites import run_all, suite_monomiality
+from shefferpoly.suites import run_all, suite_monomiality, suite_reductions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -252,6 +252,61 @@ def test_substitute_mixed_plain_and_operator():
 def test_substitute_operators_refuses_a_key_that_is_not_a_variable():
     with pytest.raises(ValueError, match="cannot substitute 'Y'"):
         substitute_operators(Y ** 2, {"Y": deriv("y")})
+
+
+def _substitute_per_monomial(p, mapping):
+    """The reference: the former second substitution routine, which built
+    each monomial's image on its own and raised an operator image to its
+    e-th power as the composition op_pow(op, e) applied to 1."""
+    out = MultiPoly.zero()
+    for exps, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for v, e in zip(VARS, exps):
+            if not e:
+                continue
+            image = mapping.get(v)
+            if image is None:
+                term = term * MultiPoly.var(v) ** e
+            elif isinstance(image, LinOp):
+                term = term * op_pow(image, e).apply(ONE)
+            else:
+                term = term * as_poly(image) ** e
+        out = out + term
+    return out
+
+
+# operators of every kernel path: leaves, a shift composition, a many-term
+# multiplication, a sum and an operator series
+_OPERATOR_IMAGES = [
+    lambda: inv_deriv("x"),
+    lambda: compose(scale(-1), inv_deriv("x")),
+    lambda: compose(mul_var("y"), deriv("y"), mul_var("y")),
+    lambda: mul_poly(X + 2 * Z),
+    lambda: op_sum(mul_var("y"), compose(scale(2), mul_var("z"), deriv("y"))),
+    lambda: OpSeries(Series.t(3).exp(), inv_deriv("x"), cutoff=3),
+]
+_images = st.one_of(
+    st.sampled_from(_OPERATOR_IMAGES).map(lambda make: make()),
+    small_polys(),
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_polys(), st.dictionaries(st.sampled_from(VARS), _images))
+def test_substitute_matches_the_per_monomial_reference(p, mapping):
+    # both build op^e {1} for an operator image, whatever the other factors
+    # use, so they agree on every mapping, not only the sound ones
+    assert p.substitute(mapping) == _substitute_per_monomial(p, mapping)
+    assert substitute_operators(p, mapping) == p.substitute(mapping)
+
+
+def test_substitute_refuses_a_float_image_or_a_bad_key_beside_an_operator():
+    with pytest.raises(NonScalarCoefficient):
+        (X * Y).substitute({"x": inv_deriv("x"), "y": 0.5})
+    with pytest.raises(ValueError, match="cannot substitute 'w'"):
+        (X * Y).substitute({"x": inv_deriv("x"), "w": Y})
 
 
 def test_operator_rendering_is_stable():
@@ -1122,7 +1177,10 @@ def _failing(**counts):
 # digest's fault, in process.  The mul-poly-squared row was recorded from
 # the kernel with three more multiplication leaves (the identity, a scaling
 # and multiplication by a variable), with the same squaring planted on all
-# four
+# four.  The compose-walk-plus-one row was 3 reductions higher while a
+# substitution raised an operator image to its e-th power as op_pow(op, e):
+# ex9's y -> D_x^-1{1} applies the bare InvDeriv, which no composition walk
+# reaches (the two tests below name those rows and fail them by InvDeriv)
 KERNEL_FAULTS = {
     "deriv-off-by-one": (operators.Deriv, "image", _off_by_one_deriv(lambda k: True),
                          _DERIV_FAULT_COUNTS),
@@ -1133,7 +1191,7 @@ KERNEL_FAULTS = {
                              _failing(crofton=24, heat=7, monomiality=56, operational=56)),
     "compose-walk-plus-one": (operators.Compose, "_image", _path_weight_plus_one,
                               _failing(crofton=9, heat=16, monomiality=56, operational=56,
-                                       oracle=1, reductions=15)),
+                                       oracle=1, reductions=12)),
     "mul-poly-squared": (operators.MulPoly, "image", _mul_poly_squared,
                          _failing(crofton=24, heat=13, monomiality=56, operational=56,
                                   oracle=1, reductions=12)),
@@ -1156,6 +1214,25 @@ def test_kernel_fault_fails_its_checks_and_leaves_no_trace(monkeypatch, plant, f
     monkeypatch.undo()
     # the images computed under the fault stayed in the planted store
     assert _failing_of(run_all(12)) == _failing()
+
+
+_EX9_ROWS = {"identity/ex9", "lower-factorial/ex9", "bernoulli2/ex9"}
+
+
+def _failing_reductions():
+    return {c.name for c in suite_reductions(12, 6) if not c.passed}
+
+
+def test_compose_walk_fault_no_longer_reaches_the_ex9_rows(plant):
+    # ex9's operator image is a bare InvDeriv, not a composition
+    plant(operators.Compose, "_image", _path_weight_plus_one)
+    failing = _failing_reductions()
+    assert len(failing) == 12 and not failing & _EX9_ROWS
+
+
+def test_inv_deriv_fault_still_fails_every_ex9_row(plant):
+    plant(operators.InvDeriv, "image", _inv_deriv_wrong_constant)
+    assert _failing_reductions() >= _EX9_ROWS
 
 
 def _callables_in(key):

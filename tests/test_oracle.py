@@ -20,7 +20,7 @@ from shefferpoly import (
 )
 from shefferpoly import mixed, suites
 from shefferpoly.cli import main
-from shefferpoly.operators import compose, inv_deriv, scale, substitute_operators
+from shefferpoly.operators import compose, inv_deriv, scale
 from shefferpoly.oracle import rule_c0, rule_exp, suite_names
 
 X = MultiPoly.var("x")
@@ -129,8 +129,8 @@ def test_printed_chebyshev_relation_fails_as_stated():
 def test_oracle_checks_the_registered_recipes(monkeypatch, capsys):
     # ex9 with the sign of D_x^(-1) flipped: y -> -D_x^(-1){1}, z -> y
     def flipped(fam, n):
-        return substitute_operators(fam.member(n).substitute({"x": 0}),
-                                    {"y": compose(scale(-1), inv_deriv("x")), "z": Y})
+        return fam.member(n).substitute(
+            {"x": 0, "y": compose(scale(-1), inv_deriv("x")), "z": Y})
 
     monkeypatch.setitem(mixed.REDUCTIONS, "ex9",
                         replace(mixed.REDUCTIONS["ex9"], specialize=flipped))
