@@ -175,7 +175,8 @@ def family_member(pair, factors, n: int, order: int, weight: int | Fraction) -> 
 
 def _member(key, pair, factors, order: int, power: int, n: int) -> MultiPoly:
     """(n!)^power * [t^n] A(t) Phi(H(t)), memoized under key + (n,) for every
-    order >= n; the matrix and the phi_k are read once per (key, order)."""
+    order >= n; the matrix and the phi_k are read once per (key, order).
+    factors() gives the factors of Phi, and is called only on a miss."""
     if n < 0:
         raise ValueError(f"member index must be >= 0, got {n}")
     if n > order:
@@ -183,7 +184,7 @@ def _member(key, pair, factors, order: int, power: int, n: int) -> MultiPoly:
 
     def make():
         cols, phi = memo((key, order), lambda: (sheffer_matrix(pair, order),
-                                                phi_coefficients(factors, order)))
+                                                phi_coefficients(factors(), order)))
         return _coefficient(cols, phi, n, math.factorial(n) ** power)
 
     return memo(key + (n,), make)
@@ -204,7 +205,7 @@ def leghp_member(pair, kind: str, r: int, n: int, order: int) -> MultiPoly:
     or (n!)^2 (R)."""
     key = ("leghp", pair.name, pair.params, kind, r)
     power = 1 if kind == "S" else 2
-    return _member(key, pair, leghp_phi(kind, r), order, power, n)
+    return _member(key, pair, lambda: leghp_phi(kind, r), order, power, n)
 
 
 def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
@@ -218,22 +219,22 @@ def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
     if s < 1:
         raise ValueError("Gould-Hopper order must be >= 1")
     order = n if order is None else order
-    phi = (exp_factor(_X), exp_factor(_Y, s))
-    return _member(("gould-hopper", s), _IDENTITY, phi, order, 1, n)
+    return _member(("gould-hopper", s), _IDENTITY,
+                   lambda: (exp_factor(_X), exp_factor(_Y, s)), order, 1, n)
 
 
 def legendre_S(n: int, order: int | None = None) -> MultiPoly:
     """S_n(x, y) from exp(y t) C_0(-x t^2)."""
     order = n if order is None else order
-    phi = (exp_factor(_Y), c0_compose(-_X, 2))
-    return _member(("legendre-S",), _IDENTITY, phi, order, 1, n)
+    return _member(("legendre-S",), _IDENTITY,
+                   lambda: (exp_factor(_Y), c0_compose(-_X, 2)), order, 1, n)
 
 
 def legendre_R(n: int, order: int | None = None) -> MultiPoly:
     """R_n(x, y): the (n!)^2-scaled t^n coefficient of C_0(x t) C_0(-y t)."""
     order = n if order is None else order
-    phi = (c0_compose(_X), c0_compose(-_Y))
-    return _member(("legendre-R",), _IDENTITY, phi, order, 2, n)
+    return _member(("legendre-R",), _IDENTITY,
+                   lambda: (c0_compose(_X), c0_compose(-_Y)), order, 2, n)
 
 
 def leghp_S(n: int, r: int, order: int | None = None) -> MultiPoly:
@@ -268,7 +269,7 @@ def sheffer_poly(pair, n: int, order: int | None = None) -> MultiPoly:
     """
     order = max(n, 1) if order is None else order
     key = ("sheffer", pair.name, pair.params)
-    return _member(key, pair, (exp_factor(_X),), order, 1, n)
+    return _member(key, pair, lambda: (exp_factor(_X),), order, 1, n)
 
 
 def umbral_pairing(h: Series, p: MultiPoly) -> Fraction:

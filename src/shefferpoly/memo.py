@@ -1,10 +1,13 @@
 """The package's one memo store.
 
 Every value the engine derives once and shares lives in ``_STORE``:
-resolved pairs, Sheffer matrices, phi_k lists, family members, and the
-image dict of every weighted-shift structure and of every operator series
-over one.  Every key is data (names, parameters, orders, classes,
-variables, series coefficients), never a function, so the store holds
+resolved pairs and their raising factors (-g'/g, 1/f'), Sheffer matrices,
+phi_k lists, family members, the Sheffer polynomials s_n(y) that the
+operational suite lifts, the two S-kind exponential route operators of
+each (r, order), and the image dict of every weighted-shift structure and
+of every operator series over one.  Every key is data (names, parameters,
+orders, classes, variables, series coefficients), never a function, so the
+store holds
 what the code of the moment computed: whoever replaces engine code to
 plant a fault swaps in an empty ``_STORE`` for as long as the fault
 stands.  ``clear()`` frees them; an operator built before it keeps the

@@ -40,9 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .checks import Check, compare
+from .memo import memo
 from .multipoly import MultiPoly
 from .operators import (
     LinOp,
@@ -129,14 +129,6 @@ class MixedFamily:
 
     # -- quasi-monomial operators ---------------------------------------------
 
-    @cached_property
-    def _series_factors(self) -> tuple[Series, Series]:
-        """(-g'/g, 1/f') as scalar series, order one below the working order."""
-        res = self.pair.resolved(self.order)
-        minus_gp_over_g = -(res.g.derivative() * res.g.reciprocal())
-        recip_fp = res.f.derivative().reciprocal()
-        return minus_gp_over_g, recip_fp
-
     def raising_operator(self, variant: str = "printed") -> LinOp:
         """The multiplicative (raising) operator.
 
@@ -147,7 +139,7 @@ class MixedFamily:
         """
         if variant not in ("printed", "theta"):
             raise ValueError(f"unknown raising variant {variant!r}")
-        minus_gp_over_g, recip_fp = self._series_factors
+        minus_gp_over_g, recip_fp = self.pair.series_factors(self.order)
         if self.kind == "S":
             head = (mul_var("y"), compose(scale(2), inv_deriv("x"), deriv("y")))
         else:
@@ -259,17 +251,21 @@ class MixedFamily:
 
     # -- operational representations ----------------------------------------------
 
-    @cached_property
     def _exp_routes(self) -> tuple[OpSeries, OpSeries]:
         """exp(D_x^(-1) d_y^2 + z d_y^r) and exp(z d_y^r), the S-kind
-        sheffer-lift and z-restoration operators, built once so that their
-        memos serve every n.  Both generators lower y, so the exponential
-        series at the family's order reaches every member."""
-        exp = Series.t(self.order).exp()
-        z_term = (_Z, op_pow(deriv("y"), self.r))
-        lift = exp_generator([
-            (Fraction(1), compose(inv_deriv("x"), op_pow(deriv("y"), 2))), z_term])
-        return OpSeries(exp, lift), OpSeries(exp, exp_generator([z_term]))
+        sheffer-lift and z-restoration operators.  They depend on r and the
+        order alone, so they are built once per (r, order), for every pair,
+        and kept in the memo store: their memos serve every n of every pair.
+        Both generators lower y, so the exponential series at the order
+        reaches every member."""
+        def make():
+            exp = Series.t(self.order).exp()
+            z_term = (_Z, op_pow(deriv("y"), self.r))
+            lift = exp_generator([
+                (Fraction(1), compose(inv_deriv("x"), op_pow(deriv("y"), 2))), z_term])
+            return OpSeries(exp, lift), OpSeries(exp, exp_generator([z_term]))
+
+        return memo(("exp-routes", self.r, self.order), make)
 
     def operational_rep_check(self, n: int) -> list[Check]:
         """Check the exponential-operator routes to member(n).
@@ -285,7 +281,7 @@ class MixedFamily:
         """
         s_n = sheffer_poly_in_y(self.pair, n, self.order)
         if self.kind == "S":
-            lift, restore = self._exp_routes
+            lift, restore = self._exp_routes()
             base = self.member(n).substitute({"z": Fraction(0)})
             return [
                 compare("operational", "sheffer-lift", lift.apply(s_n), self.member(n), n),
@@ -346,8 +342,10 @@ def theta_operator() -> LinOp:
 
 
 def sheffer_poly_in_y(pair: ShefferPair, n: int, order: int) -> MultiPoly:
-    """The plain Sheffer polynomial s_n written in the variable y."""
-    return sheffer_poly(pair, n, order).substitute({"x": _Y})
+    """The plain Sheffer polynomial s_n written in the variable y, memoized
+    per (pair, order, n): every family of the pair reads the same one."""
+    return memo(("sheffer-y", pair.name, pair.params, order, n),
+                lambda: sheffer_poly(pair, n, order).substitute({"x": _Y}))
 
 
 # -- the reduction registry ---------------------------------------------------------

@@ -121,6 +121,14 @@ def _collect(parts: list[tuple[Exponent, int, int]], den: int = 1) -> Num:
     return _reduced(acc, den * common)
 
 
+def _times_term(a: tuple[Exponent, int, int],
+                b: tuple[Exponent, int, int]) -> tuple[Exponent, int, int]:
+    """The product of two terms (e, n, d), each n/d x^e: exponents added,
+    numerators and denominators multiplied, nothing reduced."""
+    (e, n, d), (f, m, q) = a, b
+    return (e[0] + f[0], e[1] + f[1], e[2] + f[2]), n * m, d * q
+
+
 def _check_vars(mapping: Mapping[str, object]) -> None:
     """Raise ValueError naming the first key of a substitution that is not
     a variable."""
@@ -324,43 +332,58 @@ class MultiPoly:
         """Simultaneously replace variables by polynomials, constants or
         operators applied to 1.
 
-        Variables absent from ``mapping`` are left in place; a key that is
-        not x, y or z raises ``ValueError``, and a scalar image is read by
-        the module's scalar rule.  A callable image is an operator (an
+        Variables absent from ``mapping`` keep their exponents; a key that
+        is not x, y or z raises ``ValueError``, and a scalar image is read
+        by the module's scalar rule.  A callable image is an operator (an
         ``operators.LinOp``), whose e-th power is op^e {1}.  Each image
         keeps a table of its powers, entry e filled from entry e - 1: by
         one more multiplication for a polynomial, by one more application
-        for an operator.  A monomial's image is the product of its
-        variables' entries, which is sound for an operator image exactly
-        when the operator acts on variables that the other factors do not
-        use (true of every reduction recipe and shift identity in this
-        package).
+        for an operator.  A monomial's image is its kept variables times the
+        product of its mapped variables' entries.  An entry of one term (0,
+        a constant, a scaled monomial, op^e {1} of a weighted shift) joins
+        that product by adding exponents and multiplying integer numerators
+        and denominators (``_times_term``); only entries of several terms
+        are multiplied as polynomials.  For an operator image this is sound
+        exactly when the operator acts on variables that the other factors
+        do not use (true of every reduction recipe and shift identity in
+        this package).
         """
         _check_vars(mapping)
-        images = []
-        for v in VARS:
+        keep = [1, 1, 1]
+        tables = []
+        for i, v in enumerate(VARS):
             img = mapping.get(v)
-            if img is None:
-                img = MultiPoly.var(v)
-            elif not (isinstance(img, MultiPoly) or callable(img)):
-                img = MultiPoly.const(img)
-            images.append(img)
-        powers: list[list[MultiPoly]] = [[MultiPoly.const(1)] for _ in VARS]
-
-        def power(i: int, e: int) -> MultiPoly:
-            tab, img = powers[i], images[i]
-            while len(tab) <= e:
-                tab.append(img(tab[-1]) if callable(img) else tab[-1] * img)
-            return tab[e]
-
-        scaled = []
+            if img is not None:
+                if not (isinstance(img, MultiPoly) or callable(img)):
+                    img = MultiPoly.const(img)
+                tables.append((i, img, [MultiPoly.const(1)]))
+                keep[i] = 0
+        kx, ky, kz = keep
+        parts: list[tuple[Exponent, int, int]] = []
         for exps, n in self._nums.items():
-            term = None
-            for i, e in enumerate(exps):
-                if e:
-                    term = power(i, e) if term is None else term * power(i, e)
-            scaled.append((n, ({_CONST: 1}, 1) if term is None else (term._nums, term._den)))
-        return _wrap(_sum(scaled, self._den))
+            term, poly = ((exps[0] * kx, exps[1] * ky, exps[2] * kz), n, 1), None
+            for i, img, tab in tables:
+                e = exps[i]
+                if not e:
+                    continue
+                while len(tab) <= e:
+                    tab.append(img(tab[-1]) if callable(img) else tab[-1] * img)
+                nums = tab[e]._nums
+                if len(nums) == 1:
+                    (f, m), = nums.items()
+                    term = _times_term(term, (f, m, tab[e]._den))
+                elif nums:
+                    poly = tab[e] if poly is None else poly * tab[e]
+                else:
+                    term = (term[0], 0, 1)
+            if not term[1]:
+                continue
+            if poly is None:
+                parts.append(term)
+            else:
+                den = poly._den
+                parts += [_times_term(term, (f, m, den)) for f, m in poly._nums.items()]
+        return _wrap(_collect(parts, self._den))
 
     # -- rendering -----------------------------------------------------------
 

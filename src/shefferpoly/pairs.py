@@ -199,6 +199,17 @@ class ShefferPair:
 
         return memo(("resolved", self.name, self.params, order), make)
 
+    def series_factors(self, order: int) -> tuple[Series, Series]:
+        """(-g'/g, 1/f') of the pair resolved at order, each one order below
+        it: the scalar factors of the quasi-monomial raising operator, the
+        same for every family of the pair."""
+        def make():
+            res = self.resolved(order)
+            return (-(res.g.derivative() * res.g.reciprocal()),
+                    res.f.derivative().reciprocal())
+
+        return memo(("factors", self.name, self.params, order), make)
+
     def metadata(self) -> dict:
         built = self.build(4)
         return {

@@ -227,6 +227,65 @@ def test_verify_all_builds_only_the_hybrid_members_it_reads(monkeypatch, fresh_m
     assert built and max(built) <= 9
 
 
+def test_verify_all_builds_each_operator_piece_once_per_key(monkeypatch, fresh_memo):
+    """Work-count guard: verify --suite all --order 12 builds the S-kind
+    exponential routes once per r in (2, 3) and each catalog pair's raising
+    factors once, however many families read them; memo.clear() drops
+    them, and the next read builds them again."""
+    from collections import Counter
+
+    from shefferpoly import MixedFamily, memo, mixed, pair_names, pairs
+    from shefferpoly.cli import main
+
+    built = Counter()
+    stored = memo.memo
+
+    def recording(key, make):
+        def counted():
+            built[key[0], key[1]] += 1
+            return make()
+        return stored(key, counted)
+
+    monkeypatch.setattr(mixed, "memo", recording)
+    monkeypatch.setattr(pairs, "memo", recording)
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--suite", "all", "--order", "12"]) == 0
+    assert {k: c for k, c in built.items() if k[0] == "exp-routes"} == {
+        ("exp-routes", 2): 1, ("exp-routes", 3): 1}
+    assert {k: c for k, c in built.items() if k[0] == "factors"} == {
+        ("factors", name): 1 for name in pair_names()}
+
+    memo.clear()
+    assert not [k for k in memo._STORE if k[0] in ("exp-routes", "factors")]
+    built.clear()
+    fam = MixedFamily(get_pair("laguerre"), "S", 2, 12)
+    assert all(c.passed for c in fam.operational_rep_check(2))
+    fam.raising_operator()
+    assert built[("exp-routes", 2)] == 1 and built[("factors", "laguerre")] == 1
+
+
+def test_a_member_builds_its_phi_only_on_a_miss(monkeypatch, fresh_memo):
+    from shefferpoly import families
+
+    calls = []
+    leghp_phi = families.leghp_phi
+
+    def counting(kind, r):
+        calls.append((kind, r))
+        return leghp_phi(kind, r)
+
+    monkeypatch.setattr(families, "leghp_phi", counting)
+    pair = get_pair("laguerre")
+    for n in (3, 3, 5, 0):
+        families.leghp_member(pair, "R", 2, n, 8)
+    assert calls == [("R", 2)]
+    # a member is kept for every order >= n; a new one at a new order misses
+    families.leghp_member(pair, "R", 2, 3, 9)
+    assert calls == [("R", 2)]
+    families.leghp_member(pair, "R", 2, 6, 9)
+    assert calls == [("R", 2)] * 2
+
+
 # failing checks per suite of verify --suite all --order 12 when every
 # member sum divides each scale a by gcd(a, b * den) but keeps b * den
 _LINCOMB_FAULT_COUNTS = {

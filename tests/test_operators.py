@@ -38,7 +38,8 @@ from shefferpoly import (
     substitute_operators,
     theta_operator,
 )
-from shefferpoly import memo, mixed, operators
+from shefferpoly import memo, mixed, multipoly, operators
+from shefferpoly.cli import main
 from shefferpoly.multipoly import VARS, as_poly
 from shefferpoly.operators import (
     LinOp,
@@ -307,6 +308,76 @@ def test_substitute_refuses_a_float_image_or_a_bad_key_beside_an_operator():
         (X * Y).substitute({"x": inv_deriv("x"), "y": 0.5})
     with pytest.raises(ValueError, match="cannot substitute 'w'"):
         (X * Y).substitute({"x": inv_deriv("x"), "w": Y})
+
+
+def _substitute_by_products(p, mapping):
+    """The reference: the former power-table route, which gave every
+    variable a table, an absent one the identity's, and multiplied each
+    monomial's entries as polynomials."""
+    images = []
+    for v in VARS:
+        img = mapping.get(v)
+        if img is None:
+            img = MultiPoly.var(v)
+        elif not (isinstance(img, MultiPoly) or callable(img)):
+            img = MultiPoly.const(img)
+        images.append(img)
+    powers = [[ONE] for _ in VARS]
+
+    def power(i, e):
+        tab, img = powers[i], images[i]
+        while len(tab) <= e:
+            tab.append(img(tab[-1]) if callable(img) else tab[-1] * img)
+        return tab[e]
+
+    out = MultiPoly.zero()
+    for exps, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * power(i, e)
+        out = out + term
+    return out
+
+
+_nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+_monomials = st.builds(MultiPoly.monomial,
+                       st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+                       _nonzero)
+# the one-term images (0, constants, a variable, a scaled monomial, the
+# powers of a weighted shift) and a two-term polynomial
+_term_images = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    _nonzero,
+    st.sampled_from(VARS).map(MultiPoly.var),
+    _monomials,
+    st.tuples(_monomials, _monomials).map(sum).filter(lambda q: len(q.terms) == 2),
+    st.sampled_from([
+        lambda: inv_deriv("x"),
+        lambda: compose(scale(-1), inv_deriv("x")),
+        lambda: compose(mul_var("y"), deriv("y"), mul_var("y")),
+    ]).map(lambda make: make()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys(), st.dictionaries(st.sampled_from(VARS), _term_images))
+def test_substitute_matches_the_power_table_product_reference(p, mapping):
+    # absent variables keep their exponents, one-term entries add theirs
+    assert p.substitute(mapping) == _substitute_by_products(p, mapping)
+
+
+def _times_term_x_plus_one(a, b):
+    """multipoly._times_term with the product's x exponent one too high."""
+    (e, n, d), (f, m, q) = a, b
+    return (e[0] + f[0] + 1, e[1] + f[1], e[2] + f[2]), n * m, d * q
+
+
+def test_an_exponent_add_fault_fails_the_reductions(plant, capsys):
+    plant(multipoly, "_times_term", _times_term_x_plus_one)
+    assert main(["verify", "--suite", "reductions"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "12/45 checks passed"
 
 
 def test_operator_rendering_is_stable():
