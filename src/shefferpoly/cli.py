@@ -70,7 +70,7 @@ def _parse_params(items: list[str]) -> dict[str, Fraction]:
     return params
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -79,14 +79,14 @@ def _parse_n_range(text: str) -> list[int]:
             raise CliError(f"bad --n range {text!r}")
         if lo_i < 0 or hi_i < lo_i:
             raise CliError(f"bad --n range {text!r}")
-        return list(range(lo_i, hi_i + 1))
+        return range(lo_i, hi_i + 1)
     try:
         n = int(text)
     except ValueError:
         raise CliError(f"bad --n value {text!r}")
     if n < 0:
         raise CliError("--n must be >= 0")
-    return [n]
+    return range(n, n + 1)
 
 
 def _check_out(out_path: str | None) -> None:
@@ -169,18 +169,19 @@ def cmd_expand(args) -> int:
     params = _parse_params(args.param)
     pair = get_pair(args.pair, params or None)
     ns = _parse_n_range(args.n)
-    order = args.order if args.order is not None else max(12, max(ns))
-    if max(ns) > order:
+    hi = ns[-1]
+    order = args.order if args.order is not None else max(12, hi)
+    if hi > order:
         raise CliError(
-            f"--order {order} is below the largest requested n {max(ns)}",
+            f"--order {order} is below the largest requested n {hi}",
             CAPACITY_ERROR)
     # member n is exact at any truncation order >= n, so only the members
-    # through max(ns) are expanded; the requested order is what is printed
+    # through hi are expanded; the requested order is what is printed
     if args.kind == "sheffer":
-        polys = [sheffer_poly(pair, n, max(ns + [1])) for n in ns]
+        polys = [sheffer_poly(pair, n, max(hi, 1)) for n in ns]
         label = f"{pair.name} Sheffer"
     else:
-        fam = MixedFamily(pair, args.kind, args.r, max(ns))
+        fam = MixedFamily(pair, args.kind, args.r, hi)
         polys = [fam.member(n) for n in ns]
         label = fam.label
 

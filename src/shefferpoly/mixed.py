@@ -38,7 +38,7 @@ monomiality suite asserts only the theta variant at egf weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .checks import Check, compare
@@ -427,13 +427,9 @@ def _make_reductions() -> dict[str, _Reduction]:
         lambda r: (exp_factor(_X), geometric((_Y, r))),
     )
 
-    # r = 2, x = 0: two-variable Hermite (Kampe de Feriet) based member
-    R["ex8"] = _Reduction(
-        "S",
-        lambda fam, n: fam.member(n).substitute({"x": 0}),
-        lambda r: (exp_factor(_Y), exp_factor(_Z, 2)),
-        requires_r=2,
-    )
+    # r = 2, x = 0: two-variable Hermite (Kampe de Feriet) based member,
+    # ex1 restricted to r = 2
+    R["ex8"] = replace(R["ex1"], requires_r=2)
 
     # r = 2, x = 0, y -> D_x^(-1){1}, z -> y: Hermite-type G_n based member
     R["ex9"] = _Reduction(

@@ -32,7 +32,7 @@ reads every variable.  The image of a monomial depends on the exponents of
 the read variables only up to translation: for s zero on them,
 op(x^(e + s)) = x^s op(x^e).  That holds for the leaves by their rules,
 and sums and compositions inherit it.  An operator series refuses a
-polynomial only by the degrees of the variables its base lowers, and a
+monomial only by the degrees of the variables its base lowers, and a
 variable is lowered only through a ``Deriv`` of it, so it refuses
 x^(e + s) exactly when it refuses x^e.  Hence
 (ab - ba)(x^(e + s)) = x^s (ab - ba)(x^e), and :func:`commutator_check`
@@ -101,18 +101,13 @@ not, stores the value any other call would compute, and since polynomials
 are immutable, a result that shares its fields with a memoized image
 cannot change it, so concurrent use is safe.
 
-An operator series checks its cutoff (``OpSeries._admit``) on every
-polynomial it acts on, nested in a composite or not: once on the whole
-polynomial when it has several monomials, since the bound of a sum can
-exceed each monomial's own (x^5 + y^5 under a series in d/dx d/dy needs
-five terms, x^5 and y^5 none), and on a single monomial only when it is
-not in the memo (``LinOp._image_at``).  That is sound: an image enters a
-memo only after the check passed on a polynomial containing it, a whole
-polynomial's bound is never below one of its monomials', and the key of a
-shared memo fixes the verdict on each monomial.  With no cutoff, the h_k
-in the key fix the series order and the base's key the lowered variables;
-with a cutoff c, the key holds c and the h_k read, and the series refuses
-exactly when fewer than c + 1 of them exist.
+An operator series checks its cutoff (``OpSeries._admit``) in ``_image``,
+on each monomial before it computes that monomial's image, so a memo holds
+only images whose check passed, and a polynomial's image, the sum of its
+monomials' images, is exact when it is returned.  The key of a shared memo
+fixes that verdict: with no cutoff the h_k in it fix the series order and
+the base's key the lowered variables, and with a cutoff c it holds c and
+the h_k read, so the series refuses exactly when fewer than c + 1 exist.
 """
 
 from __future__ import annotations
@@ -205,40 +200,25 @@ class LinOp:
         img = self.image(e)
         return img._nums, img._den
 
-    def _admit(self, exps: Collection[Exponent]) -> None:
-        """Raise when this operator may not act on a polynomial with the
-        monomials ``exps``; only an operator series has such a condition."""
-
-    def _image_at(self, e: Exponent, admitted: bool = False) -> Num:
+    def _image_at(self, e: Exponent) -> Num:
         """The memoized image of the single monomial x^e.
 
         Every read of one image as (numerators, denominator) goes through
-        here but a memo hit in ``_images_over``.  On a miss ``_admit`` runs
-        on {e} first, unless the caller has ``admitted`` a whole polynomial
-        with e in it; a hit has passed it before (see the module docstring).
-        """
+        here but a memo hit in ``_images_over``."""
         images = self._images
         img = images.get(e)
         if img is None:
-            if not admitted:
-                self._admit((e,))
             img = images[e] = self._image(e)
         return img
 
     def _images_over(self, terms: Mapping[Exponent, int], c: int,
                      out: list[tuple[int, Num]]) -> None:
         """Append (c n, image of x^e) to ``out`` for every term n x^e of a
-        polynomial, after ``_admit`` on the whole polynomial.
-
-        A memo hit is read directly; a miss goes through ``_image_at``, so
-        the admission rules are its own."""
-        whole = len(terms) != 1
-        if whole:
-            self._admit(terms)
+        polynomial: a memo hit is read directly, a miss through ``_image_at``."""
         get = self._images.get
         for e, n in terms.items():
             img = get(e)
-            out.append((c * n, self._image_at(e, whole) if img is None else img))
+            out.append((c * n, self._image_at(e) if img is None else img))
 
     def _act(self, terms: dict[Exponent, int], den: int) -> Num:
         """This operator applied to sum_e terms[e] x^e / den."""
@@ -462,12 +442,10 @@ class OpSeries(LinOp):
 
     Application uses the nilpotency cutoff: if B provably lowers the
     degree of some variable, only finitely many terms act on a given
-    polynomial.  Otherwise an explicit ``cutoff`` must be supplied.  Every
-    application, nested in a composite or not, checks that cutoff against
-    the series order on the whole polynomial it acts on first (``_admit``),
-    except on one monomial already in its memo (see the module docstring).
-    The image of one monomial e sums h_k B^k e until the power vanishes
-    (or through the explicit cutoff).  Over a weighted-shift base each B^k e is one
+    polynomial.  Otherwise an explicit ``cutoff`` must be supplied.  The
+    image of one monomial e checks that cutoff against the series order
+    (``_admit``), then sums h_k B^k e until the power vanishes (or through
+    the explicit cutoff).  Over a weighted-shift base each B^k e is one
     monomial W_k(e) x^(e + k delta), read step by step from B's memo; over
     any other base each power is B applied to the previous one.  The h_k
     are read as the series stores them, integer numerators over its one
@@ -490,6 +468,8 @@ class OpSeries(LinOp):
             self._share((type(self), self._hs, self._hden, cutoff, base._key))
 
     def _admit(self, exps: Collection[Exponent]) -> None:
+        """Raise unless the series has every term it needs on the monomials
+        ``exps``."""
         k_max = self.cutoff
         if k_max is None:
             k_max = _degree_bound(self._lowered, exps)
@@ -505,6 +485,7 @@ class OpSeries(LinOp):
             )
 
     def _image(self, e: Exponent) -> Num:
+        self._admit((e,))
         base, hs, hden = self.base, self._hs, self._hden
         parts = [(e, hs[0], hden)]
         if base.shift:
@@ -538,7 +519,7 @@ class OpSeries(LinOp):
         return d
 
     def reads(self) -> Reads:
-        # admission reads only the lowered variables, and a variable is
+        # the cutoff check reads only the lowered variables, and a variable is
         # lowered only through a Deriv of it in the base
         return self.base.reads()
 
@@ -612,10 +593,8 @@ def commutator_check(a: LinOp, b: LinOp, test_degree: int) -> Check:
     The record carries test_degree as its n; a failure names the first
     monomial, in graded-lex order, where the identity breaks.  Per
     monomial e, a∘b(e) - b∘a(e) is one accumulator over the memoized
-    images, read in the order b(e), a over it, a(e), b over it; each
-    operator checks its precondition on the whole polynomial it acts on
-    first, so an operator series that is too short raises as ``apply``
-    would.  A negative test_degree, which would test nothing, raises
+    images, read in the order b(e), a over it, a(e), b over it.  A
+    negative test_degree, which would test nothing, raises
     ``ValueError``.
 
     Only the monomials free of the variables that neither operator reads

@@ -128,6 +128,14 @@ def test_exit_code_capacity():
     assert code == 3
 
 
+def test_a_huge_n_range_past_the_order_is_refused_before_it_is_listed(capsys):
+    # a list of 10^18 values of n would not fit in memory
+    hi = 10 ** 18
+    assert main(["expand", "--pair", "identity", "--n", f"0..{hi}", "--order", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --order 5 is below the largest requested n {hi}\n"
+
+
 @pytest.mark.parametrize("suite", ["all", "inverse"])
 def test_verify_order_zero_is_a_capacity_error(suite):
     # order 0 cannot invert f, like order 1 cannot hold member 2

@@ -527,12 +527,11 @@ def chains():
     return st.lists(step, min_size=1, max_size=5)
 
 
-@settings(max_examples=60, deadline=None)
-@given(chains(), series_coeffs(), small_polys(), small_polys())
-def test_fused_chain_matches_step_by_step(steps, hs, p, q):
+def _chain(steps):
+    """The composed chain of ``steps``, its naive action and the cutoff a
+    series over it needs: none when it lowers a variable, else 3."""
     ops, refs = zip(*(_step(*s) for s in steps))
     chain = compose(*ops)
-    assert chain.shift
 
     def naive(poly):
         for ref in reversed(refs):
@@ -540,7 +539,14 @@ def test_fused_chain_matches_step_by_step(steps, hs, p, q):
         return poly
 
     lowers = any(dv is not None and dv <= -1 for dv in chain.deltas().values())
-    cutoff = None if lowers else 3
+    return chain, naive, None if lowers else 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(), series_coeffs(), small_polys(), small_polys())
+def test_fused_chain_matches_step_by_step(steps, hs, p, q):
+    chain, naive, cutoff = _chain(steps)
+    assert chain.shift
     h = Series(hs, 8)
     series = OpSeries(h, chain, cutoff)
     for poly in (p, q, p + q):
@@ -556,9 +562,9 @@ NESTED_SERIES_ERRORS = [
     # checked on the intermediate y^3, not on the input y^2
     (lambda: compose(OpSeries(Series.t(2).exp(), deriv("y")), mul_var("y")),
      Y ** 2, OrderTooSmall, "operator series of order 2 applied where 3 terms are needed"),
-    # checked on the whole intermediate x^5 + y^5: no single monomial needs a term
+    # the intermediate monomial x^5 y^5 needs five terms of a series in d/dx d/dy
     (lambda: compose(OpSeries(Series.t(3).exp(), compose(deriv("x"), deriv("y"))),
-                     mul_poly(X ** 5 + Y ** 5)),
+                     mul_poly(X ** 5 * Y ** 5)),
      ONE, OrderTooSmall, "operator series of order 3 applied where 5 terms are needed"),
     (lambda: op_sum(mul_var("x"), OpSeries(Series.t(2).exp(), deriv("y"))),
      Y ** 4, OrderTooSmall, "operator series of order 2 applied where 4 terms are needed"),
@@ -567,11 +573,11 @@ NESTED_SERIES_ERRORS = [
     (lambda: compose(mul_var("x"), OpSeries(Series.t(4).exp(), inv_deriv("y"))),
      Y, CutoffRequired,
      "base operator D_y^-1 does not lower any degree; supply an explicit cutoff"),
-    # x^5 + y^5 again, with each monomial of the intermediate memoized first
+    # x^5 and y^5 are memoized, yet x^5 y^5 beside them is checked
     (lambda: _memoized(OpSeries(Series.t(3).exp(), compose(deriv("x"), deriv("y"))),
-                       [X ** 5, Y ** 5], mul_poly(X ** 5 + Y ** 5)),
+                       [X ** 5, Y ** 5], mul_poly(X ** 5 + Y ** 5 + X ** 5 * Y ** 5)),
      ONE, OrderTooSmall, "operator series of order 3 applied where 5 terms are needed"),
-    # y^2 is memoized, yet the intermediate y^2 + y^3 is checked as a whole
+    # y^2 is memoized, yet y^3 beside it in the intermediate y^2 + y^3 is checked
     (lambda: _memoized(OpSeries(Series.t(2).exp(), deriv("y")), [Y ** 2],
                        mul_poly(Y ** 2 + Y ** 3)),
      ONE, OrderTooSmall, "operator series of order 2 applied where 3 terms are needed"),
@@ -615,6 +621,43 @@ def test_nested_op_series_keeps_its_checks(make, p, exc, message):
     with pytest.raises(exc) as info:
         make().apply(p)
     assert str(info.value) == message
+
+
+def test_op_series_checks_each_monomial_not_the_sum(fresh_memo):
+    """x^5 and y^5 each need no term of a series in d/dx d/dy past the
+    first, so an order-3 series applies to x^5 + y^5, though a bound read
+    from the whole sum would ask for five."""
+    def series():
+        return OpSeries(Series.t(3).exp(), compose(deriv("x"), deriv("y")))
+    plain = compose(series(), mul_poly(X ** 5 + Y ** 5))
+    assert plain.apply(ONE) == X ** 5 + Y ** 5
+    memo.clear()
+    nested = _memoized(series(), [X ** 5, Y ** 5], mul_poly(X ** 5 + Y ** 5))
+    assert nested.apply(ONE) == X ** 5 + Y ** 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(), series_coeffs(), st.integers(0, 4), small_polys())
+def test_op_series_applies_monomial_by_monomial(steps, hs, order, p):
+    """A series over a shift chain sends a polynomial to the sum of its
+    monomials' images, and refuses it exactly when it refuses one of them;
+    what it does not refuse is exact, equal to the order-8 series' action."""
+    chain, naive, cutoff = _chain(steps)
+    series = OpSeries(Series(hs[:order + 1], order), chain, cutoff)
+
+    def act(poly):
+        try:
+            return series.apply(poly)
+        except OrderTooSmall:
+            return None
+
+    got = act(p)
+    parts = [act(MultiPoly({e: c})) for e, c in p.terms.items()]
+    if any(part is None for part in parts):
+        assert got is None
+    else:
+        assert got == sum(parts, MultiPoly.zero())
+        assert got == _naive_op_series(Series(hs, 8), naive, p, cutoff)
 
 
 # one instance factory per LinOp subclass, and per multiplication factory
