@@ -29,7 +29,7 @@ from .mixed import MixedFamily
 from .multipoly import poly_latex
 from .pairs import catalog, get_pair
 from .series import OrderTooSmall
-from .suites import SUITES, run_all, run_suite
+from .suites import DEFAULT_ORDER, SUITES, run_all, run_suite
 
 USAGE_ERROR = 2
 CAPACITY_ERROR = 3
@@ -158,9 +158,9 @@ def cmd_list(args) -> int:
 # -- expand -----------------------------------------------------------------------
 
 
-def _check_order(order: int | None) -> None:
+def _check_order(order: int) -> None:
     # a suite that never reads the order would pass a negative one and print it
-    if order is not None and order < 0:
+    if order < 0:
         raise CliError("--order must be >= 0")
 
 
@@ -170,10 +170,9 @@ def cmd_expand(args) -> int:
     pair = get_pair(args.pair, params or None)
     ns = _parse_n_range(args.n)
     hi = ns[-1]
-    order = args.order if args.order is not None else max(12, hi)
-    if hi > order:
+    if hi > args.order:
         raise CliError(
-            f"--order {order} is below the largest requested n {hi}",
+            f"--order {args.order} is below the largest requested n {hi}",
             CAPACITY_ERROR)
     # member n is exact at any truncation order >= n, so only the members
     # through hi are expanded; the requested order is what is printed
@@ -199,7 +198,7 @@ def cmd_expand(args) -> int:
             "pair": pair.name,
             "kind": args.kind,
             "r": args.r,
-            "order": order,
+            "order": args.order,
             "params": {k: str(v) for k, v in pair.params},
             "members": [
                 {"n": n, "poly": render(str, n, p), "latex": render(poly_latex, n, p)}
@@ -218,7 +217,7 @@ def cmd_expand(args) -> int:
             lines.append(f"s_{{{n}}} &= {render(poly_latex, n, p)} \\\\")
         text = "\n".join(lines) + "\n"
     else:
-        lines = [f"# {label}, order {order}"]
+        lines = [f"# {label}, order {args.order}"]
         for n, p in zip(ns, polys):
             lines.append(f"n={n}: {render(str, n, p)}")
         text = "\n".join(lines) + "\n"
@@ -298,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mixed-family kind, or the plain Sheffer sequence")
     p_exp.add_argument("--r", type=int, default=2)
     p_exp.add_argument("--n", required=True, help="degree, or range like 0..5")
-    p_exp.add_argument("--order", type=int, default=None,
-                       help="truncation order (default max(12, n))")
+    p_exp.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                       help=f"truncation order (default {DEFAULT_ORDER})")
     p_exp.add_argument("--param", action="append", default=[],
                        metavar="NAME=P/Q", help="exact rational parameter")
     p_exp.add_argument("--format", choices=("text", "json", "csv", "latex"),
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one of: " + ", ".join(sorted(SUITES)) + ", all")
     p_ver.add_argument("--pair", help="filter checks by pair name")
     p_ver.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p_ver.add_argument("--order", type=int, default=12)
+    p_ver.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_ver.add_argument("--verbose", action="store_true",
                        help="show witnesses for passing checks too")
     p_ver.add_argument("--format", choices=("text", "json", "csv"), default="text")

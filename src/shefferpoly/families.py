@@ -30,18 +30,22 @@ oracle module share neither the matrix nor the factor expansion, so they
 remain a genuinely independent route.
 
 The matrix is a tuple of its columns A*H^k, each an immutable ``Series``:
-integer numerators over one denominator.  The phi_k are polynomials in the
+integer numerators over one denominator, held on the pair's resolved
+record (``ResolvedPair.columns``) beside the series it is built from.  The phi_k are polynomials in the
 same representation, and a member is one integer linear combination of
 them (``multipoly.lincomb``) against the numerators and denominators of
 the matrix entries, with the weight folded into each entry; no
 ``Fraction`` is built on the way.  ``lincomb`` reduces each entry's scale
 against its phi_k's denominator by one gcd before the sum, so a member is
 summed over about its own denominator, not over the lcm of every column's
-and every phi_k's.  The phi_k of one Phi are computed once
-per truncation order in the ``memo`` store; any n <= order reads its
-phi_0..phi_n from that one list.  The named families (``leghp_member``,
-``gould_hopper``, ``legendre_S``/``legendre_R``, ``sheffer_poly``) memoize
-each member once per n for every order >= n, so none is built unasked.
+and every phi_k's.  Every member is ``family_member(key, pair, factors,
+n, order, power)``, where the key names Phi as plain data, such as
+("leghp", kind, r).  The phi_k are memoized per (Phi name, order) in the
+``memo`` store, and the factors are built only when that entry is missing;
+any n <= order reads its phi_0..phi_n from that one list.  The named
+families (``leghp_member``, ``gould_hopper``, ``legendre_S``/``legendre_R``,
+``sheffer_poly`` and the operational suite's s_n(y)) memoize each member
+once per (Phi name, pair, n) for every order >= n, so none is built unasked.
 """
 
 from __future__ import annotations
@@ -119,75 +123,61 @@ def _factor_terms(factor: tuple, order: int) -> list[tuple[int, MultiPoly]]:
 
 
 def phi_coefficients(factors, order: int) -> list[MultiPoly]:
-    """[u^k] Phi(u) for k = 0..order, Phi the product of the factors.
-
-    Memoized per (factors, order); the first n + 1 entries at any order are
-    the coefficients through u^n, so callers read lower orders from one
-    list."""
-    def make():
-        acc = [(0, MultiPoly.const(1))]
-        for factor in factors:
-            acc = [(d1 + d2, p1 * p2)
-                   for d2, p2 in _factor_terms(factor, order)
-                   for d1, p1 in acc if d1 + d2 <= order]
-        by_degree = [[] for _ in range(order + 1)]
-        for deg, poly in acc:
-            by_degree[deg].append((1, 1, poly))
-        return tuple(lincomb(parts) for parts in by_degree)
-
-    return list(memo(("phi", tuple(factors), order), make))
+    """[u^k] Phi(u) for k = 0..order, Phi the product of the factors; the
+    first n + 1 entries at any order are the coefficients through u^n."""
+    acc = [(0, MultiPoly.const(1))]
+    for factor in factors:
+        acc = [(d1 + d2, p1 * p2)
+               for d2, p2 in _factor_terms(factor, order)
+               for d1, p1 in acc if d1 + d2 <= order]
+    by_degree = [[] for _ in range(order + 1)]
+    for deg, poly in acc:
+        by_degree[deg].append((1, 1, poly))
+    return [lincomb(parts) for parts in by_degree]
 
 
 # -- the Sheffer matrix and the families read from it ---------------------------
 
 
 def sheffer_matrix(pair, order: int) -> tuple[Series, ...]:
-    """The columns A(t) H(t)^k, k = 0..order: entry (n, k) of the matrix is
-    [t^n] of column k."""
-    def make():
-        # inverting f needs its linear term, so order 0 reads an order-1 pair
-        res = pair.resolved(max(order, 1))
-        col = res.A
-        cols = [col]
-        for _ in range(order):
-            col = col * res.H
-            cols.append(col)
-        return tuple(cols)
-
-    return memo(("matrix", pair.name, pair.params, order), make)
+    """The columns A(t) H(t)^k of the pair's resolved record: entry (n, k)
+    is [t^n] of column k.  Inverting f needs its linear term, so order 0
+    reads the order-1 record."""
+    return pair.resolved(max(order, 1)).columns
 
 
 def _coefficient(cols: tuple[Series, ...], phi: list[MultiPoly], n: int,
-                 weight: int | Fraction) -> MultiPoly:
+                 weight: int) -> MultiPoly:
     """weight * sum_k phi_k [t^n] A H^k."""
-    wa, wb = weight.numerator, weight.denominator
-    return lincomb((col._nums[n] * wa, col._den * wb, phi[k])
+    return lincomb((col._nums[n] * weight, col._den, phi[k])
                    for k, col in enumerate(cols[: n + 1]))
 
 
-def family_member(pair, factors, n: int, order: int, weight: int | Fraction) -> MultiPoly:
-    """weight * [t^n] A(t) Phi(H(t)) alone, without expanding other members."""
-    if n > order:
-        raise OrderTooSmall(f"member {n} beyond truncation order {order}")
-    cols = sheffer_matrix(pair, order)
-    return _coefficient(cols, phi_coefficients(factors, order), n, weight)
-
-
-def _member(key, pair, factors, order: int, power: int, n: int) -> MultiPoly:
-    """(n!)^power * [t^n] A(t) Phi(H(t)), memoized under key + (n,) for every
-    order >= n; the matrix and the phi_k are read once per (key, order).
-    factors() gives the factors of Phi, and is called only on a miss."""
+def _check_index(n: int, order: int) -> None:
     if n < 0:
         raise ValueError(f"member index must be >= 0, got {n}")
     if n > order:
         raise OrderTooSmall(f"member {n} beyond truncation order {order}")
 
-    def make():
-        cols, phi = memo((key, order), lambda: (sheffer_matrix(pair, order),
-                                                phi_coefficients(factors(), order)))
-        return _coefficient(cols, phi, n, math.factorial(n) ** power)
 
-    return memo(key + (n,), make)
+def family_member(key, pair, factors, n: int, order: int, power: int) -> MultiPoly:
+    """(n!)^power * [t^n] A(t) Phi(H(t)) = (n!)^power * sum_k phi_k [t^n] A H^k.
+
+    key names Phi as plain data, such as ("leghp", kind, r); the phi_k are
+    memoized under ("phi",) + key + (order,), and factors() gives the
+    factors of Phi only on that miss."""
+    _check_index(n, order)
+    cols = sheffer_matrix(pair, order)
+    phi = memo(("phi",) + key + (order,), lambda: phi_coefficients(factors(), order))
+    return _coefficient(cols, phi, n, math.factorial(n) ** power)
+
+
+def named_member(key, pair, factors, n: int, order: int, power: int) -> MultiPoly:
+    """family_member memoized per (key, pair, n) for every order >= n: a
+    member of a named family, built once however many callers read it."""
+    _check_index(n, order)
+    return memo(("member",) + key + (pair.name, pair.params, n),
+                lambda: family_member(key, pair, factors, n, order, power))
 
 
 def leghp_phi(kind: str, r: int) -> tuple:
@@ -203,9 +193,8 @@ def leghp_phi(kind: str, r: int) -> tuple:
 def leghp_member(pair, kind: str, r: int, n: int, order: int) -> MultiPoly:
     """Member n of a pair's S- or R-kind hybrid family, at weight n! (S)
     or (n!)^2 (R)."""
-    key = ("leghp", pair.name, pair.params, kind, r)
-    power = 1 if kind == "S" else 2
-    return _member(key, pair, lambda: leghp_phi(kind, r), order, power, n)
+    return named_member(("leghp", kind, r), pair, lambda: leghp_phi(kind, r), n, order,
+                        1 if kind == "S" else 2)
 
 
 def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
@@ -214,27 +203,25 @@ def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:
     >>> print(gould_hopper(3, 2))
     x^3 + 6*x*y
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
     if s < 1:
         raise ValueError("Gould-Hopper order must be >= 1")
     order = n if order is None else order
-    return _member(("gould-hopper", s), _IDENTITY,
-                   lambda: (exp_factor(_X), exp_factor(_Y, s)), order, 1, n)
+    return named_member(("gould-hopper", s), _IDENTITY,
+                        lambda: (exp_factor(_X), exp_factor(_Y, s)), n, order, 1)
 
 
 def legendre_S(n: int, order: int | None = None) -> MultiPoly:
     """S_n(x, y) from exp(y t) C_0(-x t^2)."""
     order = n if order is None else order
-    return _member(("legendre-S",), _IDENTITY,
-                   lambda: (exp_factor(_Y), c0_compose(-_X, 2)), order, 1, n)
+    return named_member(("legendre-S",), _IDENTITY,
+                        lambda: (exp_factor(_Y), c0_compose(-_X, 2)), n, order, 1)
 
 
 def legendre_R(n: int, order: int | None = None) -> MultiPoly:
     """R_n(x, y): the (n!)^2-scaled t^n coefficient of C_0(x t) C_0(-y t)."""
     order = n if order is None else order
-    return _member(("legendre-R",), _IDENTITY,
-                   lambda: (c0_compose(_X), c0_compose(-_Y)), order, 2, n)
+    return named_member(("legendre-R",), _IDENTITY,
+                        lambda: (c0_compose(_X), c0_compose(-_Y)), n, order, 2)
 
 
 def leghp_S(n: int, r: int, order: int | None = None) -> MultiPoly:
@@ -252,7 +239,7 @@ def leghp_R(n: int, r: int, order: int | None = None) -> MultiPoly:
 
 def sheffer_series(pair, order: int) -> tuple[MultiPoly, ...]:
     """[t^n] A(t) exp(x H(t)), n = 0..order: the egf of a pair's Sheffer sequence."""
-    return tuple(family_member(pair, (exp_factor(_X),), n, order, 1)
+    return tuple(family_member(("sheffer",), pair, lambda: (exp_factor(_X),), n, order, 0)
                  for n in range(order + 1))
 
 
@@ -268,8 +255,7 @@ def sheffer_poly(pair, n: int, order: int | None = None) -> MultiPoly:
     x^3 - 3*x^2 + 2*x
     """
     order = max(n, 1) if order is None else order
-    key = ("sheffer", pair.name, pair.params)
-    return _member(key, pair, lambda: (exp_factor(_X),), order, 1, n)
+    return named_member(("sheffer",), pair, lambda: (exp_factor(_X),), n, order, 1)
 
 
 def umbral_pairing(h: Series, p: MultiPoly) -> Fraction:

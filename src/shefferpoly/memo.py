@@ -1,16 +1,21 @@
 """The package's one memo store.
 
-Every value the engine derives once and shares lives in ``_STORE``:
-resolved pairs and their raising factors (-g'/g, 1/f'), Sheffer matrices,
-phi_k lists, family members, the Sheffer polynomials s_n(y) that the
-operational suite lifts, the two S-kind exponential route operators of
-each (r, order), and the image dict of every weighted-shift structure and
-of every operator series over one.  Every key is data (names, parameters,
-orders, classes, variables, series coefficients), never a function, so the
-store holds
-what the code of the moment computed: whoever replaces engine code to
-plant a fault swaps in an empty ``_STORE`` for as long as the fault
-stands.  ``clear()`` frees them; an operator built before it keeps the
+Every value the engine derives once and shares lives in ``_STORE``, in
+five kinds:
+
+* the resolved record of each (pair, order), which computes its raising
+  factors (-g'/g, 1/f') and its Sheffer matrix on first read;
+* the phi_k list of each (Phi name, order);
+* the members of the named families, one per (Phi name, pair, n);
+* the two S-kind exponential route operators of each (r, order);
+* the image dict of every weighted-shift structure and of every operator
+  series over one.
+
+Every key is data (names, parameters, orders, classes, variables, series
+coefficients), never a function, and only an image key holds a polynomial
+(one of an operator's structure).  So the store holds what the code of the
+moment computed: whoever replaces engine code to plant a fault swaps in an
+empty ``_STORE`` for as long as the fault stands.  ``clear()`` frees them; an operator built before it keeps the
 images it holds, and one built after it starts a fresh dict.
 """
 

@@ -69,7 +69,7 @@ from .families import (
     geometric,
     leghp_member,
     leghp_phi,
-    sheffer_poly,
+    named_member,
 )
 
 _X = MultiPoly.var("x")
@@ -114,9 +114,13 @@ class MixedFamily:
         """The t^n coefficients of the generating function, n = 0..order."""
         return tuple(self.member(n) / self.weight(n) for n in range(self.order + 1))
 
+    @property
+    def power(self) -> int:
+        """The power of n! in weight(n): 1 for S, 2 for R."""
+        return 1 if self.kind == "S" else 2
+
     def weight(self, n: int) -> Fraction:
-        f = math.factorial(n)
-        return Fraction(f if self.kind == "S" else f * f)
+        return Fraction(math.factorial(n) ** self.power)
 
     def member(self, n: int) -> MultiPoly:
         """The stored member: weight(n) times the t^n coefficient."""
@@ -139,7 +143,7 @@ class MixedFamily:
         """
         if variant not in ("printed", "theta"):
             raise ValueError(f"unknown raising variant {variant!r}")
-        minus_gp_over_g, recip_fp = self.pair.series_factors(self.order)
+        minus_gp_over_g, recip_fp = self.pair.resolved(self.order).factors
         if self.kind == "S":
             head = (mul_var("y"), compose(scale(2), inv_deriv("x"), deriv("y")))
         else:
@@ -311,8 +315,10 @@ class MixedFamily:
         geometric factor in place of the exponential."""
         member = self.member(n)
         integrated = member.scale_monomials(lambda e: math.factorial(e[2]))
-        phi = leghp_phi(self.kind, self.r)[:-1] + (geometric((_Z, self.r)),)
-        target = family_member(self.pair, phi, n, self.order, self.weight(n))
+        target = family_member(
+            ("integral", self.kind, self.r), self.pair,
+            lambda: leghp_phi(self.kind, self.r)[:-1] + (geometric((_Z, self.r)),),
+            n, self.order, self.power)
         return compare("integral", "integral-rep", integrated, target, n)
 
     # -- reductions -------------------------------------------------------------------
@@ -331,7 +337,8 @@ class MixedFamily:
             raise UnknownReduction(
                 f"reduction {reduction!r} requires r = {recipe.requires_r}")
         lhs = recipe.specialize(self, n)
-        rhs = family_member(self.pair, recipe.phi(self.r), n, self.order, self.weight(n))
+        rhs = family_member(("reduction", reduction, self.r), self.pair,
+                            lambda: recipe.phi(self.r), n, self.order, self.power)
         return compare("reductions", reduction, lhs, rhs, n, "{} != {}")
 
 
@@ -342,10 +349,9 @@ def theta_operator() -> LinOp:
 
 
 def sheffer_poly_in_y(pair: ShefferPair, n: int, order: int) -> MultiPoly:
-    """The plain Sheffer polynomial s_n written in the variable y, memoized
-    per (pair, order, n): every family of the pair reads the same one."""
-    return memo(("sheffer-y", pair.name, pair.params, order, n),
-                lambda: sheffer_poly(pair, n, order).substitute({"x": _Y}))
+    """The plain Sheffer polynomial s_n written in the variable y: the member
+    of Phi = exp(y u), which every family of the pair reads."""
+    return named_member(("sheffer-y",), pair, lambda: (exp_factor(_Y),), n, order, 1)
 
 
 # -- the reduction registry ---------------------------------------------------------

@@ -354,7 +354,8 @@ def _suite_series_vs_naive(max_n: int) -> list[Check]:
     for label, factors, rules in cases:
         naive = oracle_series_product(rules, order)
         for n in range(order + 1):
-            engine = families.family_member(identity, factors, n, order, 1)
+            engine = families.family_member(("oracle", label), identity,
+                                            lambda: factors, n, order, 0)
             out.append(_compare(f"{label}: [t^{n}]", engine, naive[n]))
     return out
 

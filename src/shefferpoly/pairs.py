@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .memo import memo
@@ -160,12 +161,32 @@ class PairSeries:
 
 @dataclass(frozen=True)
 class ResolvedPair:
-    """Series actually used to generate members: H = f^(-1), A = 1/g(H)."""
+    """Series actually used to generate members: H = f^(-1), A = 1/g(H),
+    and the two values every family of the pair reads from them, each
+    computed on its first read."""
 
     g: Series
     f: Series
     H: Series
     A: Series
+
+    @cached_property
+    def factors(self) -> tuple[Series, Series]:
+        """(-g'/g, 1/f'), each one order below the pair's: the scalar
+        factors of the quasi-monomial raising operator."""
+        return (-(self.g.derivative() * self.g.reciprocal()),
+                self.f.derivative().reciprocal())
+
+    @cached_property
+    def columns(self) -> tuple[Series, ...]:
+        """The Sheffer matrix as its columns A(t) H(t)^k, k = 0..order:
+        entry (n, k) is [t^n] of column k."""
+        col = self.A
+        cols = [col]
+        for _ in range(col.order):
+            col = col * self.H
+            cols.append(col)
+        return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -198,17 +219,6 @@ class ShefferPair:
             return ResolvedPair(built.g, built.f, H, A)
 
         return memo(("resolved", self.name, self.params, order), make)
-
-    def series_factors(self, order: int) -> tuple[Series, Series]:
-        """(-g'/g, 1/f') of the pair resolved at order, each one order below
-        it: the scalar factors of the quasi-monomial raising operator, the
-        same for every family of the pair."""
-        def make():
-            res = self.resolved(order)
-            return (-(res.g.derivative() * res.g.reciprocal()),
-                    res.f.derivative().reciprocal())
-
-        return memo(("factors", self.name, self.params, order), make)
 
     def metadata(self) -> dict:
         built = self.build(4)

@@ -136,6 +136,16 @@ def test_a_huge_n_range_past_the_order_is_refused_before_it_is_listed(capsys):
     assert out == "" and err == f"error: --order 5 is below the largest requested n {hi}\n"
 
 
+def test_expand_without_order_reads_the_default_order(capsys):
+    # the default is 12, as for verify, so a large n ends at once instead
+    # of expanding every member through it
+    assert main(["expand", "--pair", "identity", "--n", "0..100000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --order 12 is below the largest requested n 100000\n"
+    assert main(["expand", "--pair", "identity", "--n", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("order 12")
+
+
 @pytest.mark.parametrize("suite", ["all", "inverse"])
 def test_verify_order_zero_is_a_capacity_error(suite):
     # order 0 cannot invert f, like order 1 cannot hold member 2

@@ -230,10 +230,12 @@ def test_verify_all_builds_only_the_hybrid_members_it_reads(monkeypatch, fresh_m
 
 def test_verify_all_builds_each_operator_piece_once_per_key(monkeypatch, fresh_memo):
     """Work-count guard: verify --suite all --order 12 builds the S-kind
-    exponential routes once per r in (2, 3) and each catalog pair's raising
-    factors once, however many families read them; memo.clear() drops
-    them, and the next read builds them again."""
+    exponential routes once per r in (2, 3), and computes the raising
+    factors once on each catalog pair's order-12 record and on no other,
+    however many families read them; memo.clear() drops both, and the next
+    read builds them again."""
     from collections import Counter
+    from functools import cached_property
 
     from shefferpoly import MixedFamily, memo, mixed, pair_names, pairs
     from shefferpoly.cli import main
@@ -247,22 +249,34 @@ def test_verify_all_builds_each_operator_piece_once_per_key(monkeypatch, fresh_m
             return make()
         return stored(key, counted)
 
+    computed = []
+    factors = pairs.ResolvedPair.factors.func
+
+    def counting(res):
+        computed.append(res)
+        return factors(res)
+
+    counted_factors = cached_property(counting)
+    counted_factors.__set_name__(pairs.ResolvedPair, "factors")
     monkeypatch.setattr(mixed, "memo", recording)
-    monkeypatch.setattr(pairs, "memo", recording)
+    monkeypatch.setattr(pairs.ResolvedPair, "factors", counted_factors)
     with redirect_stdout(io.StringIO()):
         assert main(["verify", "--suite", "all", "--order", "12"]) == 0
     assert {k: c for k, c in built.items() if k[0] == "exp-routes"} == {
         ("exp-routes", 2): 1, ("exp-routes", 3): 1}
-    assert {k: c for k, c in built.items() if k[0] == "factors"} == {
-        ("factors", name): 1 for name in pair_names()}
+    holding = [(key[1], key[3]) for key, res in memo._STORE.items()
+               if key[0] == "resolved" and "factors" in vars(res)]
+    assert sorted(holding) == sorted((name, 12) for name in pair_names())
+    assert len(computed) == len(pair_names())
 
     memo.clear()
-    assert not [k for k in memo._STORE if k[0] in ("exp-routes", "factors")]
+    assert not [k for k in memo._STORE if k[0] in ("exp-routes", "resolved")]
     built.clear()
+    computed.clear()
     fam = MixedFamily(get_pair("laguerre"), "S", 2, 12)
     assert all(c.passed for c in fam.operational_rep_check(2))
     fam.raising_operator()
-    assert built[("exp-routes", 2)] == 1 and built[("factors", "laguerre")] == 1
+    assert built[("exp-routes", 2)] == 1 and len(computed) == 1
 
 
 def test_a_member_builds_its_phi_only_on_a_miss(monkeypatch, fresh_memo):
@@ -317,6 +331,43 @@ def test_lincomb_scale_fault_reaches_the_suites(plant):
     for c in json.loads(out.getvalue())["checks"]:
         failing[c["suite"]] += not c["pass"]
     assert failing == _LINCOMB_FAULT_COUNTS
+
+
+def _geo_multinomial_plus_one(weight):
+    return lambda kind, ms: weight(kind, ms) + (kind == "geo")
+
+
+def _c0_sign_flipped(weight):
+    # (-1)^(m+1)/(m!)^2 for m >= 1
+    return lambda kind, ms: -weight(kind, ms) if kind == "c0" and ms[0] else weight(kind, ms)
+
+
+# failing checks per suite of run_all(12) when one Phi factor's closed-form
+# weight is wrong, recorded in a fresh interpreter under an empty memo store
+_PHI_FACTOR_FAULTS = {
+    "geo-multinomial-plus-one": (_geo_multinomial_plus_one,
+                                 {"integral": 56, "reductions": 6}),
+    "c0-sign-flipped": (_c0_sign_flipped,
+                        {"monomiality": 56, "operational": 28, "oracle": 3,
+                         "reductions": 12}),
+}
+
+
+@pytest.mark.parametrize("fault", _PHI_FACTOR_FAULTS)
+def test_phi_factor_fault_fails_its_checks_and_leaves_no_trace(monkeypatch, plant, fault):
+    """A wrong factor weight reaches every member, target and oracle case
+    that reads the factor through the phi_k memoized under Phi's name."""
+    from collections import Counter
+
+    from shefferpoly import families
+    from shefferpoly.suites import run_all
+
+    wrong, counts = _PHI_FACTOR_FAULTS[fault]
+    plant(families, "_factor_weight", wrong(families._factor_weight))
+    assert Counter(c.suite for c in run_all(12) if not c.passed) == counts
+    monkeypatch.undo()
+    checks = run_all(12)
+    assert len(checks) == 297 and all(c.passed for c in checks)
 
 
 def test_negative_member_index_is_rejected():

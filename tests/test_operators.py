@@ -1349,12 +1349,12 @@ def test_inv_deriv_fault_still_fails_every_ex9_row(plant):
     assert _failing_reductions() >= _EX9_ROWS
 
 
-def _callables_in(key):
-    """Every callable in key, classes aside, at any depth of its containers."""
+def _leaves(key):
+    """Every part of key that is not a container, at any depth."""
     if isinstance(key, (tuple, list, frozenset)):
         for part in key:
-            yield from _callables_in(part)
-    elif callable(key) and not isinstance(key, type):
+            yield from _leaves(part)
+    else:
         yield key
 
 
@@ -1362,4 +1362,8 @@ def test_memo_keys_hold_structure_only(fresh_memo):
     assert all(c.passed for c in run_all(12))
     keys = list(memo._STORE)
     assert any(key[0] == "images" for key in keys)
-    assert [key for key in keys if any(_callables_in(key))] == []
+    assert [key for key in keys
+            if any(callable(p) and not isinstance(p, type) for p in _leaves(key))] == []
+    # a Phi is named by plain data; only an operator's structure holds polynomials
+    assert [key for key in keys if key[0] != "images"
+            and any(isinstance(p, MultiPoly) for p in _leaves(key))] == []
