@@ -109,11 +109,6 @@ def _sum(images: list[tuple[int, Num]], den: int = 1) -> Num:
 
 def _collect(parts: list[tuple[Exponent, int, int]], den: int = 1) -> Num:
     """The sum of (n/d) x^e over parts (e, n, d), divided by den."""
-    if len(parts) == 1:
-        e, n, d = parts[0]
-        d *= den
-        g = gcd(n, d)
-        return ({e: n // g}, d // g) if n else ({}, 1)
     common = lcm(*[d for _, _, d in parts])
     acc: dict[Exponent, int] = {}
     for e, n, d in parts:

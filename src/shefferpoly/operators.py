@@ -44,14 +44,15 @@ Every leaf operator (``Deriv``, ``InvDeriv``, ``MulPoly``) defines only
 its image of one monomial, ``image(e)``.  All but a many-term ``MulPoly``
 are weighted shifts, and set ``shift``: they send x^e to one monomial
 w(e) x^(e + delta), or to zero.  A ``Compose`` (so an ``op_pow``) of
-weighted shifts is one weighted shift: its image of x^e is one product of
-its leaves' weights along the path, with no intermediate polynomial.  An
-``OpSeries`` h(B) over a weighted-shift base has the closed-form image
-sum_k h_k W_k(e) x^(e + k delta), where W_k(e) is the product of B's
-weights along e, B e, ..., B^(k-1) e; for B = d/dy this is
+weighted shifts is one weighted shift too, and shares a memo like one
+(below); its image, like that of every composition, is its parts applied
+in turn.  An ``OpSeries`` h(B) over a weighted-shift base has the
+closed-form image sum_k h_k W_k(e) x^(e + k delta), where W_k(e) is the
+product of B's weights along e, B e, ..., B^(k-1) e; for B = d/dy this is
 h(d/dy) y^m = sum_k h_k m!/(m-k)! y^(m-k).  The shift bases d/dy,
-Theta = -d/dx x d/dx and -d/dx x d/dy all take this path.  Both walks read
-each step's image as every memo holds it, a ``Num`` of one term or none.
+Theta = -d/dx x d/dx and -d/dx x d/dy all take this path, the kernel's one
+walk: it reads each step's image as B's memo holds it, a ``Num`` of one
+term or none.
 
 Images, and every intermediate value inside a composite, are in the
 polynomial's own representation: integer numerators over one denominator,
@@ -73,8 +74,9 @@ at its boundary: it hands the polynomial's fields to the kernel and wraps
 the result as it is.  Images
 are memoized, so an operator applied to many polynomials (the raising and
 lowering operators of a monomiality check, over every member and every
-commutator test monomial) computes the image of each monomial once.  The
-memo has one of two lifetimes:
+commutator test monomial) computes the image of each monomial once.
+``LinOp._image_at`` is the only reader of an image memo: every image read,
+hit or miss, goes through it.  The memo has one of two lifetimes:
 
 * A weighted shift, and an ``OpSeries`` over a weighted-shift base, shares
   one memo with every operator of the same structure, kept in the ``memo``
@@ -89,7 +91,7 @@ memo has one of two lifetimes:
   memo, since its images depend on its whole tree; the memo is freed with
   the operator.
 
-``shift`` decides only that sharing and the two walks above.  A leaf reads
+``shift`` decides only that sharing and the walk above.  A leaf reads
 its class's ``image`` on every memo miss, so every composite sees the
 leaf's action.  The keys name no code, so a memo holds whatever the code
 of the moment computed: a fault planted in the engine (a replaced
@@ -113,7 +115,6 @@ the h_k read, so the series refuses exactly when fewer than c + 1 exist.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .checks import Check, compare
@@ -203,8 +204,8 @@ class LinOp:
     def _image_at(self, e: Exponent) -> Num:
         """The memoized image of the single monomial x^e.
 
-        Every read of one image as (numerators, denominator) goes through
-        here but a memo hit in ``_images_over``."""
+        The one reader of the memo: every read of an image, hit or miss,
+        goes through here, and a miss computes it with ``_image``."""
         images = self._images
         img = images.get(e)
         if img is None:
@@ -214,18 +215,14 @@ class LinOp:
     def _images_over(self, terms: Mapping[Exponent, int], c: int,
                      out: list[tuple[int, Num]]) -> None:
         """Append (c n, image of x^e) to ``out`` for every term n x^e of a
-        polynomial: a memo hit is read directly, a miss through ``_image_at``."""
-        get = self._images.get
-        for e, n in terms.items():
-            img = get(e)
-            out.append((c * n, self._image_at(e) if img is None else img))
+        polynomial, each image read through ``_image_at``."""
+        image_at = self._image_at
+        out.extend([(c * n, image_at(e)) for e, n in terms.items()])
 
     def _act(self, terms: dict[Exponent, int], den: int) -> Num:
         """This operator applied to sum_e terms[e] x^e / den."""
         images: list[tuple[int, Num]] = []
         self._images_over(terms, 1, images)
-        if den == 1 and len(images) == 1 and images[0][0] == 1:
-            return images[0][1]  # polynomial fields are never mutated
         return _sum(images, den)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
@@ -253,12 +250,6 @@ class LinOp:
     # convenience algebra
     def __add__(self, other: "LinOp") -> "LinOp":
         return OpSum((self, other))
-
-    def __neg__(self) -> "LinOp":
-        return Compose((scale(-1), self))
-
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        return OpSum((self, -other))
 
     def __rmul__(self, c) -> "LinOp":
         if isinstance(c, (int, Fraction, MultiPoly)):
@@ -376,7 +367,8 @@ class OpSum(LinOp):
 
 
 class Compose(LinOp):
-    """Composition; the rightmost operator acts first, as in written math."""
+    """Composition; the rightmost operator acts first, as in written math.
+    Its image of x^e is its parts applied in turn."""
 
     def __init__(self, ops: Sequence[LinOp]):
         flat: list[LinOp] = []
@@ -391,17 +383,6 @@ class Compose(LinOp):
             self._share(tuple(op._key for op in self.ops))
 
     def _image(self, e: Exponent) -> Num:
-        if self.shift:  # one product of the weights along the path
-            a = b = 1
-            for op in reversed(self.ops):
-                t, d = op._image_at(e)
-                if not t:
-                    return {}, 1
-                (e, n), = t.items()
-                a *= n
-                b *= d
-            g = gcd(a, b)
-            return {e: a // g}, b // g
         *rest, first = self.ops
         cur = first._image_at(e)
         for op in reversed(rest):

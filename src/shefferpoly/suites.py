@@ -158,7 +158,7 @@ def suite_integral(order: int = DEFAULT_ORDER, max_n: int = 6) -> list[Check]:
     return out
 
 
-def suite_heat(order: int = 12, max_n: int = 10) -> list[Check]:
+def suite_heat(order: int = DEFAULT_ORDER, max_n: int = 10) -> list[Check]:
     """Heat-equation and operational identities of the Gould-Hopper family,
     plus the inverse-derivative route to the Bessel-Tricomi function."""
     out = []

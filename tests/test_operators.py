@@ -139,6 +139,23 @@ def test_op_series_cutoff_required():
     assert got == ONE + Y + Y * Y / 4
 
 
+def test_op_series_deltas_keep_the_degree_it_lowers_and_bound_none_it_raises():
+    h = Series.t(6).exp()
+    # the k = 0 identity term keeps every degree the base lowers
+    assert OpSeries(h, deriv("y")).deltas() == {"x": 0, "y": 0, "z": 0}
+    assert OpSeries(h, compose(mul_var("x"), deriv("y"))).deltas() == {
+        "x": None, "y": 0, "z": 0}
+
+
+@pytest.mark.parametrize("apply,error", [
+    (lambda h: OpSeries(h, OpSeries(h, deriv("y"))).apply(Y ** 2), CutoffRequired),
+    (lambda h: exp_operator([(1, OpSeries(h, deriv("y")))], Y ** 2), NonNilpotentGenerator),
+], ids=["series-base", "exp-generator"])
+def test_a_series_lowers_no_degree_so_it_is_no_base_or_generator(apply, error):
+    with pytest.raises(error):
+        apply(Series.t(6).exp())
+
+
 # -- commutators ----------------------------------------------------------------------
 
 
@@ -462,6 +479,30 @@ def test_memo_reuse_equals_fresh_instance():
         P = fam.lowering_operator(variant)
         assert P.apply(P.apply(q)) == fam.lowering_operator(variant).apply(
             fam.lowering_operator(variant).apply(q))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: deriv("y"),
+    lambda: compose(scale(-1), deriv("x"), mul_var("x"), deriv("y")),
+    lambda: op_sum(mul_var("x"), F(2) * deriv("y")),
+    lambda: OpSeries(Series.t(6).exp(), deriv("y")),
+    lambda: OpSeries(Series.t(6).exp(), op_sum(deriv("y"), op_pow(deriv("y"), 2))),
+], ids=["deriv", "shift-compose", "op-sum", "shift-series", "series"])
+def test_a_full_memo_is_read_once_per_term_through_image_at(monkeypatch, fresh_memo, make):
+    op = make()
+    p = (X + Y + 1) ** 3 / 2
+    want = op.apply(p)  # fills the memo
+    reads = []
+    image_at = operators.LinOp._image_at
+
+    def counted(self, e):
+        reads.append((self, e))
+        return image_at(self, e)
+
+    monkeypatch.setattr(operators.LinOp, "_image_at", counted)
+    assert op.apply(p) == want
+    assert sorted(e for _, e in reads) == sorted(p.terms)
+    assert all(reader is op for reader, _ in reads)
 
 
 def _off_by_one_deriv(wrong_at):
@@ -914,9 +955,11 @@ def test_commutator_skips_only_variables_neither_operator_reads(monkeypatch, fre
     rep = commutator_check(deriv("z"), grow, 2)
     assert not rep.passed and rep.witness == "FAIL at z: commutator gives 3*z"
     # one accumulator per tested monomial: all 165 when the pair reads
-    # x, y and z, the 45 z-free ones when it reads only x and y
+    # x, y and z, the 45 z-free ones when it reads only x and y.  A
+    # composition's image sums too, so the memos are filled first
     for b, tested in ((op_sum(mul_var("x"), compose(deriv("y"), deriv("z"))), 165),
                       (op_sum(mul_var("x"), deriv("y")), 45)):
+        assert commutator_check(deriv("x"), b, 8).passed  # fills the memos
         calls = _count_sums(monkeypatch)
         assert commutator_check(deriv("x"), b, 8).passed
         assert calls[0] == tested
@@ -1265,7 +1308,8 @@ _COMPOSE_IMAGE = operators.Compose._image
 
 
 def _path_weight_plus_one(self, e):
-    """The fused walk of a shift composition with its path weight plus one."""
+    """A shift composition's image, its parts applied in turn, with its path
+    weight plus one."""
     nums, den = _COMPOSE_IMAGE(self, e)
     if not self.shift or not nums:
         return nums, den
@@ -1287,7 +1331,9 @@ def _failing(**counts):
 # (owner, attribute, fault, (failing, total) checks per suite of run_all(12));
 # every row was recorded in a fresh interpreter, under an empty memo store,
 # from the kernel that kept a weighted shift's images in a form of their own
-# (its fused walk was Compose._shift there); the first is the subprocess
+# and walked a shift composition as one product of its leaves' weights
+# (Compose._shift there); its parts applied in turn give the same images, so
+# the compose-walk-plus-one row holds.  The first row is the subprocess
 # digest's fault, in process.  The mul-poly-squared row was recorded from
 # the kernel with three more multiplication leaves (the identity, a scaling
 # and multiplication by a variable), with the same squaring planted on all
