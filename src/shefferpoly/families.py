@@ -190,11 +190,15 @@ def leghp_phi(kind: str, r: int) -> tuple:
     return (c0_compose(_X), c0_compose(-_Y), exp_factor(_Z, r))
 
 
+# the power of n! in the weight of a hybrid member, per kind
+WEIGHT_POWER = {"S": 1, "R": 2}
+
+
 def leghp_member(pair, kind: str, r: int, n: int, order: int) -> MultiPoly:
-    """Member n of a pair's S- or R-kind hybrid family, at weight n! (S)
-    or (n!)^2 (R)."""
+    """Member n of a pair's S- or R-kind hybrid family, at weight
+    (n!)^WEIGHT_POWER[kind]."""
     return named_member(("leghp", kind, r), pair, lambda: leghp_phi(kind, r), n, order,
-                        1 if kind == "S" else 2)
+                        WEIGHT_POWER[kind])
 
 
 def gould_hopper(n: int, s: int, order: int | None = None) -> MultiPoly:

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import families
 from .checks import Check, compare
 from .memo import memo
 from .multipoly import MultiPoly
@@ -112,18 +113,15 @@ class MixedFamily:
 
     def generating_series(self) -> tuple[MultiPoly, ...]:
         """The t^n coefficients of the generating function, n = 0..order."""
-        return tuple(self.member(n) / self.weight(n) for n in range(self.order + 1))
+        return tuple(self.egf_member(n) / math.factorial(n) for n in range(self.order + 1))
 
     @property
     def power(self) -> int:
-        """The power of n! in weight(n): 1 for S, 2 for R."""
-        return 1 if self.kind == "S" else 2
-
-    def weight(self, n: int) -> Fraction:
-        return Fraction(math.factorial(n) ** self.power)
+        """The power of n! in a member's weight (``families.WEIGHT_POWER``)."""
+        return families.WEIGHT_POWER[self.kind]
 
     def member(self, n: int) -> MultiPoly:
-        """The stored member: weight(n) times the t^n coefficient."""
+        """The stored member: (n!)^power times the t^n coefficient."""
         return leghp_member(self.pair, self.kind, self.r, n, self.order)
 
     def egf_member(self, n: int) -> MultiPoly:

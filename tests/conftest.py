@@ -18,7 +18,9 @@ def plant(monkeypatch):
     kept out of the memos of correct images only by that store: everything
     built while the plant stands reads and fills it.  Teardown, or an
     earlier ``monkeypatch.undo()``, restores both the attribute and the
-    store the test started with."""
+    store the test started with.  A planted engine fault is registered,
+    with the checks it fails, in ``tests/faults.py`` and planted from
+    there (``FAULTS[name].plant(plant)``)."""
     def plant(owner, name, value):
         monkeypatch.setattr(memo, "_STORE", {})
         monkeypatch.setattr(owner, name, value)

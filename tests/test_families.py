@@ -2,7 +2,6 @@
 pair catalog's closed-form consistency checks."""
 
 import io
-import json
 import math
 import subprocess
 import sys
@@ -299,75 +298,6 @@ def test_a_member_builds_its_phi_only_on_a_miss(monkeypatch, fresh_memo):
     assert calls == [("R", 2)]
     families.leghp_member(pair, "R", 2, 6, 9)
     assert calls == [("R", 2)] * 2
-
-
-# failing checks per suite of verify --suite all --order 12 when every
-# member sum divides each scale a by gcd(a, b * den) but keeps b * den
-_LINCOMB_FAULT_COUNTS = {
-    "biorthogonality": 14, "crofton": 0, "heat": 6, "integral": 0, "inverse": 0,
-    "monomiality": 56, "operational": 0, "oracle": 3, "reductions": 13,
-}
-
-
-def test_lincomb_scale_fault_reaches_the_suites(plant):
-    """The reduced scales of a member sum can fail: a lincomb that reduces
-    the numerator alone fails verify, the oracle's explicit sums included."""
-    from shefferpoly import families
-    from shefferpoly.cli import main
-    from shefferpoly.multipoly import _sum, _wrap
-
-    def numerator_only(parts):
-        images = []
-        for a, b, p in parts:
-            d = b * p._den
-            images.append((a // math.gcd(a, d), (p._nums, d)))
-        return _wrap(_sum(images))
-
-    plant(families, "lincomb", numerator_only)
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(["verify", "--suite", "all", "--format", "json", "--order", "12"]) == 1
-    failing = dict.fromkeys(_LINCOMB_FAULT_COUNTS, 0)
-    for c in json.loads(out.getvalue())["checks"]:
-        failing[c["suite"]] += not c["pass"]
-    assert failing == _LINCOMB_FAULT_COUNTS
-
-
-def _geo_multinomial_plus_one(weight):
-    return lambda kind, ms: weight(kind, ms) + (kind == "geo")
-
-
-def _c0_sign_flipped(weight):
-    # (-1)^(m+1)/(m!)^2 for m >= 1
-    return lambda kind, ms: -weight(kind, ms) if kind == "c0" and ms[0] else weight(kind, ms)
-
-
-# failing checks per suite of run_all(12) when one Phi factor's closed-form
-# weight is wrong, recorded in a fresh interpreter under an empty memo store
-_PHI_FACTOR_FAULTS = {
-    "geo-multinomial-plus-one": (_geo_multinomial_plus_one,
-                                 {"integral": 56, "reductions": 6}),
-    "c0-sign-flipped": (_c0_sign_flipped,
-                        {"monomiality": 56, "operational": 28, "oracle": 3,
-                         "reductions": 12}),
-}
-
-
-@pytest.mark.parametrize("fault", _PHI_FACTOR_FAULTS)
-def test_phi_factor_fault_fails_its_checks_and_leaves_no_trace(monkeypatch, plant, fault):
-    """A wrong factor weight reaches every member, target and oracle case
-    that reads the factor through the phi_k memoized under Phi's name."""
-    from collections import Counter
-
-    from shefferpoly import families
-    from shefferpoly.suites import run_all
-
-    wrong, counts = _PHI_FACTOR_FAULTS[fault]
-    plant(families, "_factor_weight", wrong(families._factor_weight))
-    assert Counter(c.suite for c in run_all(12) if not c.passed) == counts
-    monkeypatch.undo()
-    checks = run_all(12)
-    assert len(checks) == 297 and all(c.passed for c in checks)
 
 
 def test_negative_member_index_is_rejected():

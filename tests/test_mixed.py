@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from faults import FAULTS
 from shefferpoly import (
     REDUCTIONS,
     MixedFamily,
@@ -63,10 +64,7 @@ def test_lower_factorial_first_member():
 
 
 def test_member_weights():
-    f_s = fam(kind="S")
     f_r = fam(kind="R")
-    assert f_s.weight(3) == 6
-    assert f_r.weight(3) == 36
     assert f_r.egf_member(3) == f_r.member(3) / 6
 
 
@@ -192,11 +190,9 @@ def test_r_kind_theta_variant_passes_catalog_wide():
 def test_r_rows_fail_when_theta_loses_its_sign(plant):
     # Theta without its -1 breaks every theta-variant identity at egf
     # weight; the R-kind rows assert those, so each one must now FAIL
-    from shefferpoly import mixed
-    from shefferpoly.operators import compose, mul_var
     from shefferpoly.suites import suite_monomiality
 
-    plant(mixed, "theta_operator", lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
+    FAULTS["theta-sign"].plant(plant)
     rep = fam(LOWER_FACT, "R", 2, 4).verify_monomiality(1)
     for ident in ("raising", "lowering", "diffeq", "commutator"):
         assert not passing(rep, f"{ident}/theta/egf"), ident
@@ -254,30 +250,12 @@ def _first_failures(checks):
     return firsts
 
 
-def _no_fault(plant):
-    pass
-
-
-def _deriv_off_by_one(plant):
-    from test_operators import _off_by_one_deriv
-
-    from shefferpoly import operators
-
-    plant(operators.Deriv, "image", _off_by_one_deriv(lambda k: True))
-
-
-def _theta_without_sign(plant):
-    from shefferpoly import mixed
-    from shefferpoly.operators import compose, mul_var
-
-    plant(mixed, "theta_operator", lambda: compose(deriv("x"), mul_var("x"), deriv("x")))
-
-
-@pytest.mark.parametrize("fault", [_no_fault, _deriv_off_by_one, _theta_without_sign],
+@pytest.mark.parametrize("fault", [None, "deriv-off-by-one", "theta-sign"],
                          ids=["correct", "deriv-off-by-one", "theta-sign"])
 @pytest.mark.parametrize("pair,kind", [("hahn", "S"), ("laguerre", "R")])
 def test_a_failed_identity_gets_no_further_record(plant, fault, pair, kind):
-    fault(plant)
+    if fault:
+        FAULTS[fault].plant(plant)
     family = fam(get_pair(pair), kind, 2, 9)
     checks = family.verify_monomiality(6)
     failed = set()

@@ -1,18 +1,16 @@
 """Operator calculus: monomial action rules, nilpotency cutoffs, the
 shift identity, and exponential operators."""
 
-import hashlib
 import json
-import subprocess
 import sys
 import threading
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faults import FAULTS, off_by_one_deriv, verify_all
 from shefferpoly import (
     CutoffRequired,
     MixedFamily,
@@ -38,8 +36,7 @@ from shefferpoly import (
     substitute_operators,
     theta_operator,
 )
-from shefferpoly import memo, mixed, multipoly, operators
-from shefferpoly.cli import main
+from shefferpoly import memo, mixed, operators
 from shefferpoly.multipoly import VARS, as_poly
 from shefferpoly.operators import (
     LinOp,
@@ -49,8 +46,6 @@ from shefferpoly.operators import (
 )
 from shefferpoly.series import OrderTooSmall
 from shefferpoly.suites import run_all, suite_monomiality, suite_reductions
-
-GOLDEN = Path(__file__).parent / "golden"
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -385,18 +380,6 @@ def test_substitute_matches_the_power_table_product_reference(p, mapping):
     assert p.substitute(mapping) == _substitute_by_products(p, mapping)
 
 
-def _times_term_x_plus_one(a, b):
-    """multipoly._times_term with the product's x exponent one too high."""
-    (e, n, d), (f, m, q) = a, b
-    return (e[0] + f[0] + 1, e[1] + f[1], e[2] + f[2]), n * m, d * q
-
-
-def test_an_exponent_add_fault_fails_the_reductions(plant, capsys):
-    plant(multipoly, "_times_term", _times_term_x_plus_one)
-    assert main(["verify", "--suite", "reductions"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "12/45 checks passed"
-
-
 def test_operator_rendering_is_stable():
     op = op_sum(mul_var("y"), F(2) * compose(inv_deriv("x"), deriv("y")))
     assert op.render() == "(y + 2∘D_x^-1∘d/dy)"
@@ -505,18 +488,6 @@ def test_a_full_memo_is_read_once_per_term_through_image_at(monkeypatch, fresh_m
     assert all(reader is op for reader, _ in reads)
 
 
-def _off_by_one_deriv(wrong_at):
-    """A d/dv image that multiplies v^k (k >= 1) by k + 1 instead of k
-    where wrong_at(k)."""
-    def image(self, e):
-        k = e[self.index]
-        if not k:
-            return MultiPoly.zero()
-        e2 = e[:self.index] + (k - 1,) + e[self.index + 1:]
-        return MultiPoly({e2: k + 1 if wrong_at(k) else k})
-    return image
-
-
 # witnesses and commutator values recorded from the whole-polynomial
 # operator code this kernel replaced, under the same planted faults
 @pytest.mark.parametrize("wrong_at,pair,kind,variant,witness,got", [
@@ -532,14 +503,14 @@ def test_off_by_one_deriv_fails_commutator_at_same_witness(
     fam = MixedFamily(get_pair(pair), kind, 2, 12)
     assert commutator_check(fam.lowering_operator(variant),
                             fam.raising_operator(variant), 8).passed
-    plant(operators.Deriv, "image", _off_by_one_deriv(wrong_at))
+    plant(operators.Deriv, "image", off_by_one_deriv(wrong_at))
     rep = commutator_check(fam.lowering_operator(variant),
                            fam.raising_operator(variant), 8)
     assert not rep.passed
     assert rep.witness == f"FAIL at {witness}: commutator gives {got}"
 
 
-# -- fused weighted shifts ------------------------------------------------------------------
+# -- weighted-shift compositions ----------------------------------------------------------
 
 
 def _step(kind, arg, c):
@@ -585,7 +556,7 @@ def _chain(steps):
 
 @settings(max_examples=60, deadline=None)
 @given(chains(), series_coeffs(), small_polys(), small_polys())
-def test_fused_chain_matches_step_by_step(steps, hs, p, q):
+def test_shift_chain_matches_step_by_step(steps, hs, p, q):
     chain, naive, cutoff = _chain(steps)
     assert chain.shift
     h = Series(hs, 8)
@@ -865,7 +836,7 @@ def test_reads_is_sound(make, e, s):
         lambda: MultiPoly.monomial(s) * make().apply(MultiPoly.monomial(e)))
 
 
-# -- the fused monomiality kernel ---------------------------------------------------------
+# -- commutators and residuals against per-monomial references ---------------------------
 
 
 def _reference_commutator(a, b, test_degree):
@@ -900,11 +871,11 @@ TOO_SHORT_SERIES = [
        st.sampled_from([make for _, make in EVERY_OPERATOR] + TOO_SHORT_SERIES),
        st.integers(0, 4))
 def test_commutator_matches_the_per_monomial_reference(make_a, make_b, degree):
-    def fused():
+    def checked():
         rep = commutator_check(make_a(), make_b(), degree)
         return rep.passed, rep.witness
 
-    assert _outcome(fused) == _outcome(lambda: _reference_commutator(make_a(), make_b(), degree))
+    assert _outcome(checked) == _outcome(lambda: _reference_commutator(make_a(), make_b(), degree))
 
 
 def test_diffeq_residual_matches_apply_then_subtract():
@@ -1075,7 +1046,7 @@ def test_replaced_deriv_image_reaches_every_operator_built_after_it(monkeypatch,
 
     assert pair_check().passed  # fills the shared memos with correct images
     before = deriv("y")
-    plant(operators.Deriv, "image", _off_by_one_deriv(lambda k: True))
+    FAULTS["deriv-off-by-one"].plant(plant)
     assert deriv("y")._images is not before._images
     assert deriv("y").apply(Y ** 40) == 41 * Y ** 39
     rep = pair_check()
@@ -1098,12 +1069,7 @@ def test_replaced_series_image_reaches_every_operator_built_after_it(monkeypatch
     assert pair_check().passed  # fills the shared series memos with correct images
     before = OpSeries(f, deriv("y"))
     assert before._images is fam.lowering_operator("printed")._images
-    image = operators.OpSeries._image
-
-    def plus_identity(self, e):  # h(B) + 1 in place of h(B)
-        return operators._sum(((1, image(self, e)), (1, ({e: 1}, 1))))
-
-    plant(operators.OpSeries, "_image", plus_identity)
+    FAULTS["series-plus-identity"].plant(plant)
     assert fam.lowering_operator("printed")._images is not before._images
     assert OpSeries(f, deriv("y")).apply(Y * Z ** 9) == (
         (f.coeffs[0] + 1) * Y + f.coeffs[1]) * Z ** 9
@@ -1180,99 +1146,21 @@ def test_threads_filling_the_shared_memos_agree(monkeypatch):
     assert results == [want] * len(results)
 
 
-# Deriv.image multiplying v^k by k + 1, planted before anything runs; every
-# composite reads its d/dv leaves through that image
-_DERIV_FAULT_RUN = """
-import sys
-from shefferpoly import operators
-from shefferpoly.cli import main
-from shefferpoly.multipoly import MultiPoly
-
-def image(self, e):
-    k = e[self.index]
-    if not k:
-        return MultiPoly.zero()
-    return MultiPoly({e[:self.index] + (k - 1,) + e[self.index + 1:]: k + 1})
-
-operators.Deriv.image = image
-sys.exit(main(["verify", "--suite", "all", "--format", "json", "--order", "12"]))
-"""
-
-
-@pytest.fixture(scope="module")
-def deriv_fault_run():
-    proc = subprocess.run([sys.executable, "-c", _DERIV_FAULT_RUN],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1, proc.stderr
-    return proc.stdout
-
-
-def _failing_per_suite(report: str) -> dict[str, tuple[int, int]]:
-    """(failing, total) checks per suite of a JSON verify report."""
-    counts = {}
-    for c in json.loads(report)["checks"]:
-        failing, total = counts.get(c["suite"], (0, 0))
-        counts[c["suite"]] = (failing + (not c["pass"]), total + 1)
-    return counts
-
-
-# (failing, total) checks per suite under the fault; the verdicts were
-# first recorded from the whole-polynomial operator code this kernel replaced
-_DERIV_FAULT_COUNTS = {
-    "biorthogonality": (0, 14), "crofton": (15, 24), "heat": (12, 16),
-    "integral": (0, 56), "inverse": (0, 24), "monomiality": (56, 56),
-    "operational": (56, 57), "oracle": (1, 5), "reductions": (6, 45),
-}
-
-
-def test_deriv_image_fault_reaches_every_composite(deriv_fault_run):
-    digest = hashlib.sha256(deriv_fault_run.encode()).hexdigest()
-    assert digest == (GOLDEN / "verify_all_o12_deriv_fault.sha256").read_text().strip()
-    assert _failing_per_suite(deriv_fault_run) == _DERIV_FAULT_COUNTS
-
-
-# d/dy doubling its image of every monomial with a z in it: d/dy then reads
-# z, which breaks the translation lemma the commutator rows rest on
-_TRANSLATION_FAULT_RUN = """
-import sys
-from shefferpoly import operators
-from shefferpoly.cli import main
-
-image = operators.Deriv.image
-
-def doubled_off_z(self, e):
-    img = image(self, e)
-    return 2 * img if self.var == "y" and e[2] else img
-
-operators.Deriv.image = doubled_off_z
-sys.exit(main(["verify", "--suite", "all", "--format", "json", "--order", "12"]))
-"""
-
-# (failing, total) checks per suite under the fault, recorded when every
-# commutator test monomial was evaluated: all 28 S-kind monomiality rows
-# fail, at raising
-_TRANSLATION_FAULT_COUNTS = {
-    "biorthogonality": (0, 14), "crofton": (3, 24), "heat": (0, 16),
-    "integral": (0, 56), "inverse": (0, 24), "monomiality": (28, 56),
-    "operational": (56, 57), "oracle": (0, 5), "reductions": (0, 45),
-}
-
-
-def test_fault_outside_the_read_variables_keeps_its_verdicts():
-    proc = subprocess.run([sys.executable, "-c", _TRANSLATION_FAULT_RUN],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1, proc.stderr
-    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    assert digest == (GOLDEN / "verify_all_o12_translation_fault.sha256").read_text().strip()
-    assert _failing_per_suite(proc.stdout) == _TRANSLATION_FAULT_COUNTS
+def test_fault_outside_the_read_variables_keeps_its_verdicts(plant):
+    # the fault's row pins its verdicts; every S-kind row fails at raising
+    FAULTS["dy-doubled-with-z"].plant(plant)
+    code, report = verify_all()
+    assert code == 1
     assert all(c["witness"].startswith("raising n=")
-               for c in json.loads(proc.stdout)["checks"]
+               for c in json.loads(report)["checks"]
                if c["suite"] == "monomiality" and not c["pass"])
 
 
-def test_deriv_image_fault_rows_show_their_own_first_failure(deriv_fault_run):
-    rows = {(c["suite"], c["name"]): c["witness"]
-            for c in json.loads(deriv_fault_run)["checks"]}
+def test_deriv_image_fault_rows_show_their_own_first_failure(plant):
+    FAULTS["deriv-off-by-one"].plant(plant)
+    code, report = verify_all()
+    assert code == 1
+    rows = {(c["suite"], c["name"]): c["witness"] for c in json.loads(report)["checks"]}
     assert rows["heat", "Gould-Hopper s=2: heat equation"] == "heat s=2 n=2"
     assert rows["heat", "Gould-Hopper s=2: exp(y d_x^2) x^n"] == "operational s=2 n=2"
     assert rows["heat", "Gould-Hopper s=2: raising/lowering"] == "raising s=2 n=1"
@@ -1282,98 +1170,7 @@ def test_deriv_image_fault_rows_show_their_own_first_failure(deriv_fault_run):
         "n=2: got y^2 + 2*x - 4*y + 6*z + 2; expected y^2 + 2*x - 4*y + 2*z + 2")
 
 
-# -- kernel fault matrix ------------------------------------------------------------------
-
-
-def _inv_deriv_wrong_constant(self, e):
-    """A D_v^-1 image that divides v^(k+1) by k + 2 instead of k + 1."""
-    k = e[self.index]
-    return MultiPoly({e[:self.index] + (k + 1,) + e[self.index + 1:]: F(1, k + 2)})
-
-
-def _mul_poly_squared(self, e):
-    """A multiplication by p that multiplies by p^2."""
-    return self.poly ** 2 * MultiPoly.monomial(e)
-
-
-_SERIES_IMAGE = OpSeries._image
-
-
-def _series_plus_identity(self, e):
-    """h(B) + 1 in place of h(B)."""
-    return operators._sum(((1, _SERIES_IMAGE(self, e)), (1, ({e: 1}, 1))))
-
-
-_COMPOSE_IMAGE = operators.Compose._image
-
-
-def _path_weight_plus_one(self, e):
-    """A shift composition's image, its parts applied in turn, with its path
-    weight plus one."""
-    nums, den = _COMPOSE_IMAGE(self, e)
-    if not self.shift or not nums:
-        return nums, den
-    (e2, n), = nums.items()
-    return {e2: n + den}, den
-
-
-_SUITE_SIZES = {
-    "biorthogonality": 14, "crofton": 24, "heat": 16, "integral": 56, "inverse": 24,
-    "monomiality": 56, "operational": 57, "oracle": 5, "reductions": 45,
-}
-
-
-def _failing(**counts):
-    """(failing, total) checks per suite of ``run_all(12)``."""
-    return {suite: (counts.get(suite, 0), size) for suite, size in _SUITE_SIZES.items()}
-
-
-# (owner, attribute, fault, (failing, total) checks per suite of run_all(12));
-# every row was recorded in a fresh interpreter, under an empty memo store,
-# from the kernel that kept a weighted shift's images in a form of their own
-# and walked a shift composition as one product of its leaves' weights
-# (Compose._shift there); its parts applied in turn give the same images, so
-# the compose-walk-plus-one row holds.  The first row is the subprocess
-# digest's fault, in process.  The mul-poly-squared row was recorded from
-# the kernel with three more multiplication leaves (the identity, a scaling
-# and multiplication by a variable), with the same squaring planted on all
-# four.  The compose-walk-plus-one row was 3 reductions higher while a
-# substitution raised an operator image to its e-th power as op_pow(op, e):
-# ex9's y -> D_x^-1{1} applies the bare InvDeriv, which no composition walk
-# reaches (the two tests below name those rows and fail them by InvDeriv)
-KERNEL_FAULTS = {
-    "deriv-off-by-one": (operators.Deriv, "image", _off_by_one_deriv(lambda k: True),
-                         _DERIV_FAULT_COUNTS),
-    "inv-deriv-constant": (operators.InvDeriv, "image", _inv_deriv_wrong_constant,
-                           _failing(heat=4, monomiality=56, operational=28, oracle=1,
-                                    reductions=9)),
-    "series-plus-identity": (OpSeries, "_image", _series_plus_identity,
-                             _failing(crofton=24, heat=7, monomiality=56, operational=56)),
-    "compose-walk-plus-one": (operators.Compose, "_image", _path_weight_plus_one,
-                              _failing(crofton=9, heat=16, monomiality=56, operational=56,
-                                       oracle=1, reductions=12)),
-    "mul-poly-squared": (operators.MulPoly, "image", _mul_poly_squared,
-                         _failing(crofton=24, heat=13, monomiality=56, operational=56,
-                                  oracle=1, reductions=12)),
-}
-
-
-def _failing_of(checks):
-    counts = {}
-    for c in checks:
-        failing, total = counts.get(c.suite, (0, 0))
-        counts[c.suite] = (failing + (not c.passed), total + 1)
-    return counts
-
-
-@pytest.mark.parametrize("fault", KERNEL_FAULTS)
-def test_kernel_fault_fails_its_checks_and_leaves_no_trace(monkeypatch, plant, fault):
-    owner, name, value, counts = KERNEL_FAULTS[fault]
-    plant(owner, name, value)
-    assert _failing_of(run_all(12)) == counts
-    monkeypatch.undo()
-    # the images computed under the fault stayed in the planted store
-    assert _failing_of(run_all(12)) == _failing()
+# -- ex9 reduction rows under kernel faults ------------------------------------------------
 
 
 _EX9_ROWS = {"identity/ex9", "lower-factorial/ex9", "bernoulli2/ex9"}
@@ -1385,13 +1182,13 @@ def _failing_reductions():
 
 def test_compose_walk_fault_no_longer_reaches_the_ex9_rows(plant):
     # ex9's operator image is a bare InvDeriv, not a composition
-    plant(operators.Compose, "_image", _path_weight_plus_one)
+    FAULTS["compose-walk-plus-one"].plant(plant)
     failing = _failing_reductions()
     assert len(failing) == 12 and not failing & _EX9_ROWS
 
 
 def test_inv_deriv_fault_still_fails_every_ex9_row(plant):
-    plant(operators.InvDeriv, "image", _inv_deriv_wrong_constant)
+    FAULTS["inv-deriv-constant"].plant(plant)
     assert _failing_reductions() >= _EX9_ROWS
 
 
