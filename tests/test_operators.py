@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faults import FAULTS, off_by_one_deriv, verify_all
+from faults import FAULTS, SUITE_SIZES, off_by_one_deriv, verify_all
 from shefferpoly import (
     CutoffRequired,
     MixedFamily,
@@ -1168,6 +1168,52 @@ def test_deriv_image_fault_rows_show_their_own_first_failure(plant):
         "n=2: got y^2 + 6*x - 4*y + 6*z + 2; expected y^2 + 2*x - 4*y + 2*z + 2")
     assert rows["operational", "laguerre/S/r=2: z-restoration"] == (
         "n=2: got y^2 + 2*x - 4*y + 6*z + 2; expected y^2 + 2*x - 4*y + 2*z + 2")
+
+
+_DERIV_COMPOSITES = {
+    "op_sum": lambda: op_sum(mul_var("x"), deriv("y")),
+    "shift compose": lambda: compose(deriv("y"), mul_var("x"), deriv("y")),
+    "compose": lambda: compose(mul_poly(X + 2 * Z), deriv("y")),
+    "shift series": lambda: OpSeries(Series.t(6).exp(), deriv("y")),
+    "series": lambda: OpSeries(Series.t(6).exp(), compose(deriv("y"), mul_poly(X + Z))),
+}
+
+
+def test_deriv_image_fault_reaches_every_composite(monkeypatch, plant):
+    # each composite reads its d/dy leaves through Deriv.image, also when the
+    # memos of the store before the plant hold the correct images
+    want = {name: make().apply(Y ** 3) for name, make in _DERIV_COMPOSITES.items()}
+    FAULTS["deriv-off-by-one"].plant(plant)
+    got = {name: make().apply(Y ** 3) for name, make in _DERIV_COMPOSITES.items()}
+    assert [name for name in got if got[name] == want[name]] == []
+    assert got["op_sum"] == X * Y ** 3 + 4 * Y ** 2
+    assert got["shift compose"] == 12 * X * Y
+    assert got["compose"] == 4 * (X + 2 * Z) * Y ** 2
+    assert got["shift series"] == Y ** 3 + 4 * Y ** 2 + 6 * Y + 4 * ONE
+    monkeypatch.undo()
+    assert {name: make().apply(Y ** 3) for name, make in _DERIV_COMPOSITES.items()} == want
+
+
+# the planted kernel faults of faults.FAULTS; each fails every monomiality
+# row of its matrix row, so one family's identities show it
+KERNEL_FAULTS = ("deriv-off-by-one", "inv-deriv-constant", "series-plus-identity",
+                 "compose-walk-plus-one", "mul-poly-squared")
+
+
+@pytest.mark.parametrize("name", KERNEL_FAULTS)
+def test_kernel_fault_fails_its_checks_and_leaves_no_trace(monkeypatch, plant, name):
+    def failing(fam):
+        return {c.name for c in fam.verify_monomiality(6) if not c.passed}
+
+    assert FAULTS[name].failing["monomiality"] == SUITE_SIZES["monomiality"]
+    before = MixedFamily(get_pair("hahn"), "S", 2, 12)
+    assert failing(before) == set()
+    FAULTS[name].plant(plant)
+    assert "raising/printed/egf" in failing(MixedFamily(get_pair("hahn"), "S", 2, 12))
+    monkeypatch.undo()
+    # the images computed under the fault stayed in the planted store
+    assert failing(before) == set()
+    assert failing(MixedFamily(get_pair("hahn"), "S", 2, 12)) == set()
 
 
 # -- ex9 reduction rows under kernel faults ------------------------------------------------
