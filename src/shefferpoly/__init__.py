@@ -52,11 +52,9 @@ from .mixed import (
     theta_operator,
 )
 from .oracle import (
-    UnknownRow,
     UnknownSuite,
     cross_validate,
     lagrange_inverse,
-    oracle_explicit_sum,
     oracle_series_product,
 )
 
@@ -75,7 +73,6 @@ __all__ = [
     "leghp_S", "leghp_R", "sheffer_poly", "umbral_pairing",
     "Check", "MixedFamily", "REDUCTIONS",
     "UnknownReduction", "theta_operator",
-    "UnknownRow", "UnknownSuite", "cross_validate",
-    "oracle_explicit_sum", "oracle_series_product", "lagrange_inverse",
+    "UnknownSuite", "cross_validate", "oracle_series_product", "lagrange_inverse",
     "__version__",
 ]

@@ -12,9 +12,10 @@ against one column each of the pair's scalar Sheffer matrix (see the
 families module).  Every reduction target below is the same lookup with a
 different Phi.
 
-Members are stored at the weight written above (so R-kind members carry
-the full (n!)^2 scale; the n!-normalised family m_n/n! is the one the
-quasi-monomial operators act on, and the monomiality checks test both).
+Members are stored at the weight written above, (n!)^power with the power
+of ``families.WEIGHT_POWER`` (so R-kind members carry the full (n!)^2
+scale).  The quasi-monomial operators act on the family at weight t^n/n!,
+member n over (n!)^(power - 1), and the monomiality checks test both.
 
 The S-kind family is quasi-monomial under
 
@@ -124,10 +125,14 @@ class MixedFamily:
         """The stored member: (n!)^power times the t^n coefficient."""
         return leghp_member(self.pair, self.kind, self.r, n, self.order)
 
+    def _egf_scale(self, n: int) -> int:
+        """member(n) over egf_member(n): (n!)^(power - 1)."""
+        return math.factorial(n) ** (self.power - 1)
+
     def egf_member(self, n: int) -> MultiPoly:
-        """The member at exponential weight t^n/n! (for R this is member/n!)."""
-        poly = self.member(n)
-        return poly if self.kind == "S" else poly / math.factorial(n)
+        """The member at exponential weight t^n/n!: member(n) over
+        (n!)^(power - 1), the weight read from ``families.WEIGHT_POWER``."""
+        return self.member(n) / self._egf_scale(n)
 
     # -- quasi-monomial operators ---------------------------------------------
 
@@ -236,8 +241,8 @@ class MixedFamily:
                 if diffeq not in failed or not failed.issuperset(lowering):
                     down = P.apply(mn)
                 for norm, up_name, down_name in zip(norms, raising, lowering):
-                    # stored = n! egf, so the stored images are n! times the egf ones
-                    at, c = members[norm], math.factorial(n) if norm == "stored" else 1
+                    # stored = _egf_scale(n) egf, and so are the stored images
+                    at, c = members[norm], self._egf_scale(n) if norm == "stored" else 1
                     if up_name not in failed:
                         record(compare("monomiality", up_name, up * c, at[n + 1], n))
                     if down_name not in failed:

@@ -37,10 +37,6 @@ _Y = MultiPoly.var("y")
 _Z = MultiPoly.var("z")
 
 
-class UnknownRow(KeyError):
-    pass
-
-
 class UnknownSuite(KeyError):
     pass
 
@@ -153,35 +149,6 @@ def row_bell_type(n: int) -> MultiPoly:
     return out
 
 
-_ROWS: dict[str, Callable[..., MultiPoly]] = {
-    "I": row_gould_hopper,
-    "II": row_legendre_type,
-    "III": row_laguerre_type,
-    "IV": row_chebyshev,
-    "V": row_laguerre,
-    "VI": row_legendre_R,
-    "VII": row_truncated_exponential,
-    "VIII": lambda n: row_gould_hopper(n, 2),  # Hermite H_n, row I at r = 2
-    "IX": lambda n: row_laguerre_type(n, 2),  # Hermite-type G_n, row III at m = 2
-    "X": row_legendre_P,
-    "XI": row_bell_type,
-}
-
-_ROW_TAKES_PARAM = {"I", "III", "IV", "VII"}
-
-
-def oracle_explicit_sum(row: str, n: int, param: int | None = None) -> MultiPoly:
-    """Evaluate one special-case row's explicit finite sum directly."""
-    fn = _ROWS.get(row)
-    if fn is None:
-        raise UnknownRow(f"unknown row {row!r}; known rows: {', '.join(_ROWS)}")
-    if row in _ROW_TAKES_PARAM:
-        if param is None:
-            raise ValueError(f"row {row} needs its integer parameter")
-        return fn(n, param)
-    return fn(n)
-
-
 # -- naive convolution --------------------------------------------------------------
 
 
@@ -290,7 +257,8 @@ def _suite_ghp_vs_explicit(max_n: int) -> list[Check]:
     return out
 
 
-# Each row of the special-case table is (label, recipe id, r, explicit sum).
+# Each row of the special-case table is (label, recipe id, r, explicit sum);
+# the table is the one index of the row_* sums by row label.
 # The engine side is member n of the identity pair's family of the recipe's
 # kind, pushed through the recipe registered in ``mixed.REDUCTIONS``, looked
 # up when the suite runs.  ``specialize`` reads the member but not r, so a

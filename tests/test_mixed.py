@@ -63,9 +63,13 @@ def test_lower_factorial_first_member():
     assert fam(LOWER_FACT).member(1) == Y
 
 
-def test_member_weights():
+def test_member_weights(plant):
+    # egf_member divides a member by (n!)^(power - 1), the power the member
+    # is stored at: by 3! at R's (n!)^2, and by nothing once it is n!
     f_r = fam(kind="R")
     assert f_r.egf_member(3) == f_r.member(3) / 6
+    FAULTS["r-weight-one"].plant(plant)
+    assert f_r.egf_member(3) == f_r.member(3)
 
 
 def test_weighted_degree_bound():

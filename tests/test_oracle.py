@@ -9,19 +9,30 @@ import pytest
 
 from shefferpoly import (
     MultiPoly,
-    UnknownRow,
     UnknownSuite,
     catalog,
     cross_validate,
     get_pair,
     lagrange_inverse,
-    oracle_explicit_sum,
     oracle_series_product,
 )
-from shefferpoly import mixed, suites
+from shefferpoly import mixed, oracle, suites
 from shefferpoly.cli import main
 from shefferpoly.operators import compose, inv_deriv, scale
-from shefferpoly.oracle import rule_c0, rule_exp, suite_names
+from shefferpoly.oracle import (
+    row_bell_type,
+    row_chebyshev,
+    row_gould_hopper,
+    row_laguerre,
+    row_laguerre_type,
+    row_legendre_P,
+    row_legendre_R,
+    row_legendre_type,
+    row_truncated_exponential,
+    rule_c0,
+    rule_exp,
+    suite_names,
+)
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -30,23 +41,26 @@ ONE = MultiPoly.const(1)
 
 
 def test_explicit_sum_gould_hopper():
-    assert oracle_explicit_sum("I", 3, 2) == X ** 3 + 6 * X * Y
-    assert oracle_explicit_sum("I", 0, 2) == ONE
+    # row I
+    assert row_gould_hopper(3, 2) == X ** 3 + 6 * X * Y
+    assert row_gould_hopper(0, 2) == ONE
 
 
 def test_explicit_sum_hermite():
-    assert oracle_explicit_sum("VIII", 2) == X ** 2 + 2 * Y
+    # row VIII, the Hermite H_n: row I at r = 2
+    assert row_gould_hopper(2, 2) == X ** 2 + 2 * Y
 
 
 def test_explicit_sum_all_rows_at_zero():
-    for row in "I II III IV V VI VII VIII IX X XI".split():
-        param = 2 if row in ("I", "III", "IV", "VII") else None
-        assert oracle_explicit_sum(row, 0, param) == ONE
-
-
-def test_explicit_sum_unknown_row():
-    with pytest.raises(UnknownRow):
-        oracle_explicit_sum("XII", 1)
+    of_n = (row_legendre_type, row_laguerre, row_legendre_R, row_legendre_P, row_bell_type)
+    of_n_and_param = (row_gould_hopper, row_laguerre_type, row_chebyshev,
+                      row_truncated_exponential)
+    rows = {name for name in vars(oracle) if name.startswith("row_")}
+    assert rows == {row.__name__ for row in of_n + of_n_and_param}
+    for row in of_n:
+        assert row(0) == ONE
+    for row in of_n_and_param:
+        assert row(0, 2) == ONE
 
 
 def test_naive_convolution_single_factor():
@@ -118,7 +132,6 @@ def test_printed_chebyshev_relation_fails_as_stated():
     # already at n = 1 (exponential vs ordinary generating weight), which
     # is why the registered row IV check uses the Gamma-moment bridge.
     from shefferpoly import gould_hopper
-    from shefferpoly.oracle import row_chebyshev
 
     m = 2
     substitution_side = gould_hopper(1, m - 1, 4)   # = x + y
