@@ -38,7 +38,17 @@ the matrix entries, with the weight folded into each entry; no
 ``Fraction`` is built on the way.  ``lincomb`` reduces each entry's scale
 against its phi_k's denominator by one gcd before the sum, so a member is
 summed over about its own denominator, not over the lcm of every column's
-and every phi_k's.  Every member is ``family_member(key, pair, factors,
+and every phi_k's.
+
+The phi_k are the truncated product of the factors taken degree by
+degree: after each factor, phi_k is one ``lincomb`` over d <= k of
+phi_(k-d) times that factor's degree-d term.  For every hybrid Phi, phi_k
+is weighted-homogeneous of degree k (x, y, z weighing the powers of u they
+come with), so no two phi_k share a monomial: each term of a member is one
+product, and ``lincomb`` writes it once instead of accumulating.  A Phi
+that is not graded (the Legendre P_n recipes' functions of (x^2 - 1)/4 and
+(1 -+ x)/2) is summed the same way and takes ``lincomb``'s accumulating
+branch.  Every member is ``family_member(key, pair, factors,
 n, order, power)``, where the key names Phi as plain data, such as
 ("leghp", kind, r).  The phi_k are memoized per (Phi name, order) in the
 ``memo`` store, and the factors are built only when that entry is missing;
@@ -106,8 +116,10 @@ def _factor_weight(kind: str, ms: tuple[int, ...]) -> Fraction:
     return Fraction(multinomial)
 
 
-def _factor_terms(factor: tuple, order: int) -> list[tuple[int, MultiPoly]]:
-    """(power of u, coefficient) of every term of one factor through u^order."""
+def _factor_degrees(factor: tuple, order: int) -> list[MultiPoly]:
+    """[u^d] of one factor for d = 0..order: its terms through u^order,
+    each a product of powers of the parts' polynomials at the factor's
+    closed-form weight, summed by degree."""
     kind, parts = factor
     terms = [(0, MultiPoly.const(1), ())]
     for p, j in parts:
@@ -119,21 +131,26 @@ def _factor_terms(factor: tuple, order: int) -> list[tuple[int, MultiPoly]]:
                 poly = poly * p
                 m += 1
         terms = grown
-    return [(deg, poly * _factor_weight(kind, ms)) for deg, poly, ms in terms]
+    by_degree = [[] for _ in range(order + 1)]
+    for deg, poly, ms in terms:
+        w = _factor_weight(kind, ms)
+        by_degree[deg].append((w.numerator, w.denominator, poly))
+    return [lincomb(parts) for parts in by_degree]
 
 
 def phi_coefficients(factors, order: int) -> list[MultiPoly]:
     """[u^k] Phi(u) for k = 0..order, Phi the product of the factors; the
-    first n + 1 entries at any order are the coefficients through u^n."""
-    acc = [(0, MultiPoly.const(1))]
+    first n + 1 entries at any order are the coefficients through u^n.
+
+    The product is truncated and taken degree by degree: after each factor,
+    phi_k is one ``lincomb`` over d <= k of phi_(k-d) times the factor's
+    degree-d term."""
+    phi = [MultiPoly.const(1)] + [MultiPoly.zero()] * order
     for factor in factors:
-        acc = [(d1 + d2, p1 * p2)
-               for d2, p2 in _factor_terms(factor, order)
-               for d1, p1 in acc if d1 + d2 <= order]
-    by_degree = [[] for _ in range(order + 1)]
-    for deg, poly in acc:
-        by_degree[deg].append((1, 1, poly))
-    return [lincomb(parts) for parts in by_degree]
+        terms = [(d, t) for d, t in enumerate(_factor_degrees(factor, order)) if t]
+        phi = [lincomb((1, 1, phi[k - d] * t) for d, t in terms if d <= k and phi[k - d])
+               for k in range(order + 1)]
+    return phi
 
 
 # -- the Sheffer matrix and the families read from it ---------------------------

@@ -12,9 +12,9 @@ value has exactly one representation:
 
 Equal polynomials therefore have equal fields, and equality and hashing
 compare the fields directly.  All arithmetic (``+``, ``-``, ``*``, scalar
-``*`` and ``/``, ``**``, ``substitute``) runs in integers; a
-``fractions.Fraction`` is built only where a single coefficient is asked
-for (``coeff``, ``constant_value``, ``terms``) or rendered.
+``*`` and ``/``, ``**``, ``substitute``) and rendering run in integers; a
+``fractions.Fraction`` is built only where a coefficient is asked for
+(``coeff``, ``constant_value``, ``terms``, ``sorted_terms``).
 
 Values are immutable: the fields are private slots, set once at
 construction and never written afterwards, and ``terms`` returns a fresh
@@ -34,9 +34,10 @@ tuple of exactly three ``int``s >= 0, read by the same ``isinstance`` rule;
 any other key raises ``BadExponent``, a ``ValueError``.
 
 The canonical term order used by ``str()`` and :func:`poly_latex` is graded
-lexicographic with x > y > z, highest total degree first.  Rationals render
-as ``p/q`` (or ``p`` when the denominator is 1); this rendering is the one
-golden-file tests pin down.
+lexicographic with x > y > z, highest total degree first.  Each coefficient
+is its numerator over the denominator reduced by one gcd, rendered as
+``p/q`` (or ``p`` when the reduced denominator is 1); this rendering is the
+one golden-file tests pin down.
 """
 
 from __future__ import annotations
@@ -385,8 +386,7 @@ class MultiPoly:
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in graded-lex order (x > y > z), highest degree first."""
         den = self._den
-        return [(e, Fraction(self._nums[e], den))
-                for e in sorted(self._nums, key=lambda e: (-sum(e), -e[0], -e[1], -e[2]))]
+        return [(e, Fraction(self._nums[e], den)) for e in _graded_lex(self._nums)]
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -403,13 +403,30 @@ def lincomb(parts: Iterable[tuple[int, int, MultiPoly]]) -> MultiPoly:
     one gcd before it is summed, so the common denominator is the lcm of
     the reduced ones: a member's sum runs over about its own denominator,
     not over the lcm of every column's and every phi_k's, and the final
-    reduction mostly finds nothing to divide."""
+    reduction mostly finds nothing to divide.
+
+    The parts of a graded sum share no monomial (the phi_k of a weighted-
+    homogeneous Phi, summed into a member), so each scaled numerator is
+    written once by one comprehension.  The result then has exactly as many
+    keys as the parts have terms; fewer keys is an exact test for overlap,
+    and only then is the sum accumulated term by term (``_sum``)."""
     images = []
+    common = 1
+    size = 0
     for a, b, p in parts:
-        d = b * p._den
-        g = gcd(a, d)
-        images.append((a // g, (p._nums, d // g)))
-    return _wrap(_sum(images))
+        if a and p._nums:
+            d = b * p._den
+            g = gcd(a, d)
+            d //= g
+            if common % d:
+                common = lcm(common, d)
+            images.append((a // g, (p._nums, d)))
+            size += len(p._nums)
+    acc = {e: k * m for n, (nums, d) in images for m in (n * (common // d),)
+           for e, k in nums.items()}
+    if len(acc) < size:
+        return _wrap(_sum(images))
+    return _wrap(_reduced(acc, common))
 
 
 def _lift(v) -> "MultiPoly":
@@ -432,17 +449,25 @@ def _monomial(exps: Exponent, power: str, times: str) -> str:
     return times.join(v if e == 1 else power.format(v, e) for v, e in zip(VARS, exps) if e)
 
 
+def _graded_lex(nums: Mapping[Exponent, int]) -> list[Exponent]:
+    """The exponents in graded-lex order (x > y > z), highest degree first."""
+    return sorted(nums, key=lambda e: (-sum(e), -e[0], -e[1], -e[2]))
+
+
 def poly_str(p: MultiPoly) -> str:
     """Canonical plain-text rendering, e.g. ``y^2 + 2*x + 2*z``."""
-    return _render_terms((_monomial(e, "{}^{}", "*"), c) for e, c in p.sorted_terms())
+    nums = p._nums
+    return _render_terms(((_monomial(e, "{}^{}", "*"), nums[e]) for e in _graded_lex(nums)),
+                         p._den)
 
 
-def _frac_latex(c: Fraction) -> str:
-    """A nonnegative rational in LaTeX."""
-    return str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+def _frac_latex(p: int, q: int) -> str:
+    """The positive rational p/q, in lowest terms, in LaTeX."""
+    return f"{p}" if q == 1 else f"\\frac{{{p}}}{{{q}}}"
 
 
 def poly_latex(p: MultiPoly) -> str:
     """LaTeX rendering in the same canonical term order."""
-    return _render_terms(((_monomial(e, "{}^{{{}}}", ""), c) for e, c in p.sorted_terms()),
-                         _frac_latex, "")
+    nums = p._nums
+    return _render_terms(((_monomial(e, "{}^{{{}}}", ""), nums[e]) for e in _graded_lex(nums)),
+                         p._den, _frac_latex, "")

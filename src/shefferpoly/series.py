@@ -15,7 +15,7 @@ is always reduced, gcd(denominator, *numerators) == 1, and zero is all-zero
 numerators over 1, so equal series have equal fields; equality, hashing
 and rendering read the fields.  Every operation runs in integers, and a
 ``fractions.Fraction`` is built only where a coefficient is asked for
-(``coefficient``, ``coeffs``) or rendered.  A coefficient or scalar is
+(``coefficient``, ``coeffs``).  A coefficient or scalar is
 an ``int`` or a ``Fraction``, anything else raises
 ``NonScalarCoefficient``; that rule (``_ratio``), the binary power and the
 signed-term renderer live here and serve ``multipoly`` too, since this
@@ -94,23 +94,32 @@ def _power(x, n: int, one):
     return result
 
 
-def _render_terms(terms, magnitude=str, times: str = "*") -> str:
-    """The signed sum of (monomial, coefficient) terms, each coefficient a
-    nonzero rational and the constant's monomial "": "-a + b*m - m" with a
-    unit magnitude left out before a monomial, and "0" for no terms."""
+def _plain(p: int, q: int) -> str:
+    """The positive rational p/q, in lowest terms, as ``str`` renders a
+    ``Fraction``: "p/q", or "p" when q is 1."""
+    return f"{p}" if q == 1 else f"{p}/{q}"
+
+
+def _render_terms(terms, den: int, magnitude=_plain, times: str = "*") -> str:
+    """The signed sum of (monomial, numerator) terms over the positive
+    denominator den, each numerator a nonzero int and the constant's
+    monomial "": "-a + b*m - m" with a unit magnitude left out before a
+    monomial, and "0" for no terms.  Each term is reduced by one gcd and
+    ``magnitude`` renders its lowest-terms (p, q)."""
     pieces: list[str] = []
-    for mono, c in terms:
-        mag = abs(c)
+    for mono, n in terms:
+        g = gcd(n, den)
+        p, q = abs(n) // g, den // g
         if not mono:
-            body = magnitude(mag)
-        elif mag == 1:
+            body = magnitude(p, q)
+        elif p == q:  # both 1, the pair being in lowest terms
             body = mono
         else:
-            body = f"{magnitude(mag)}{times}{mono}"
+            body = f"{magnitude(p, q)}{times}{mono}"
         if pieces:
-            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+            pieces.append(f"- {body}" if n < 0 else f"+ {body}")
         else:
-            pieces.append(f"-{body}" if c < 0 else body)
+            pieces.append(f"-{body}" if n < 0 else body)
     return " ".join(pieces) or "0"
 
 
@@ -438,7 +447,6 @@ class Series:
 
 def series_str(s: Series) -> str:
     """Canonical rendering: ``c0 + c1*t + c2*t^2 + O(t^N+1)``."""
-    den = s._den
-    terms = [("" if k == 0 else "t" if k == 1 else f"t^{k}", Fraction(n, den))
+    terms = [("" if k == 0 else "t" if k == 1 else f"t^{k}", n)
              for k, n in enumerate(s._nums) if n]
-    return f"{_render_terms(terms)} + O(t^{s.order + 1})"
+    return f"{_render_terms(terms, s._den)} + O(t^{s.order + 1})"

@@ -81,6 +81,113 @@ def test_phi_c0_and_geometric_coefficients():
         [ONE, X, X * X + Y, X ** 3 + 2 * X * Y]
 
 
+def _reference_factor_terms(factor, order):
+    """(power of u, coefficient) of every term of one factor through
+    u^order, each term's closed-form weight written out again here."""
+    kind, parts = factor
+    terms = [(0, ONE, ())]
+    for p, j in parts:
+        grown = []
+        for deg, poly, ms in terms:
+            m = 0
+            while deg + j * m <= order:
+                grown.append((deg + j * m, poly, ms + (m,)))
+                poly = poly * p
+                m += 1
+        terms = grown
+    out = []
+    for deg, poly, ms in terms:
+        if kind == "exp":
+            weight = F(1, math.factorial(ms[0]))
+        elif kind == "c0":
+            weight = F((-1) ** ms[0], math.factorial(ms[0]) ** 2)
+        else:
+            weight = F(math.factorial(sum(ms)), math.prod(map(math.factorial, ms)))
+        out.append((deg, poly * weight))
+    return out
+
+
+def _reference_phi(factors, order):
+    """[u^k] Phi(u), k = 0..order, as a product over every combination of
+    the factors' terms, summed by degree at the end."""
+    acc = [(0, ONE)]
+    for factor in factors:
+        acc = [(d1 + d2, p1 * p2)
+               for d2, p2 in _reference_factor_terms(factor, order)
+               for d1, p1 in acc if d1 + d2 <= order]
+    phi = [MultiPoly.zero()] * (order + 1)
+    for deg, poly in acc:
+        phi[deg] = phi[deg] + poly
+    return phi
+
+
+def _every_phi():
+    """(label, factors) of every Phi the package builds a member from."""
+    from shefferpoly.families import c0_compose, exp_factor, geometric, leghp_phi
+    from shefferpoly.mixed import REDUCTIONS
+
+    out = []
+    for kind in "SR":
+        for r in (1, 2, 3):
+            out.append((f"leghp-{kind}-r{r}", leghp_phi(kind, r)))
+            out.append((f"integral-{kind}-r{r}",
+                        leghp_phi(kind, r)[:-1] + (geometric((Z, r)),)))
+    for name, recipe in sorted(REDUCTIONS.items()):
+        for r in (1, 2, 3) if recipe.requires_r is None else (recipe.requires_r,):
+            out.append((f"reduction-{name}-r{r}", recipe.phi(r)))
+    for s in (2, 3):
+        out.append((f"gould-hopper-s{s}", (exp_factor(X), exp_factor(Y, s))))
+    out += [("legendre-S", (exp_factor(Y), c0_compose(-X, 2))),
+            ("legendre-R", (c0_compose(X), c0_compose(-Y))),
+            ("sheffer", (exp_factor(X),)),
+            ("sheffer-y", (exp_factor(Y),)),
+            ("oracle-exp-exp", (exp_factor(Y), exp_factor(Z, 2)))]
+    return out
+
+
+_EVERY_PHI = _every_phi()
+
+
+@pytest.mark.parametrize("factors", [f for _, f in _EVERY_PHI],
+                         ids=[label for label, _ in _EVERY_PHI])
+def test_phi_coefficients_match_the_product_over_every_term(factors):
+    """The degree-by-degree product against the product over every
+    combination of the factors' terms, at orders 0, 1, 12 and 16."""
+    from shefferpoly.families import phi_coefficients
+
+    for order in (0, 1, 12, 16):
+        assert phi_coefficients(factors, order) == _reference_phi(factors, order)
+
+
+def test_graded_member_sums_never_accumulate_term_by_term(monkeypatch, fresh_memo):
+    """Work-count guard: the phi_k of a hybrid Phi share no monomial, so
+    neither they nor a member summed from them reach ``multipoly._sum``,
+    the fallback for overlapping parts; the ex10 target's Phi, a function of
+    (x^2 - 1)/4, is not graded, and its sums do."""
+    from shefferpoly import MixedFamily, multipoly
+    from shefferpoly.families import family_member
+    from shefferpoly.mixed import REDUCTIONS
+
+    calls = []
+    total = multipoly._sum
+
+    def counted(*args):
+        calls.append(1)
+        return total(*args)
+
+    monkeypatch.setattr(multipoly, "_sum", counted)
+    pair = get_pair("laguerre")
+    for kind in "SR":
+        fam = MixedFamily(pair, kind, 2, 16)
+        for n in range(17):
+            fam.member(n)
+    assert not calls
+    for n in range(17):
+        family_member(("reduction", "ex10", 2), pair, lambda: REDUCTIONS["ex10"].phi(2),
+                      n, 16, 1)
+    assert calls
+
+
 # -- Gould-Hopper ------------------------------------------------------------------
 
 

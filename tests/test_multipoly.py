@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shefferpoly import BadExponent, MultiPoly, NonScalarCoefficient, poly_latex, poly_str
+from shefferpoly.families import leghp_phi, phi_coefficients
 from shefferpoly.multipoly import _sum, _wrap, lincomb
 from shefferpoly.operators import scale
 
@@ -316,14 +317,41 @@ def _lincomb_parts(draw):
     return a, b, ref
 
 
+# phi_0..phi_6 of the S-kind hybrid Phi at r = 2, each weighted-homogeneous
+# of its own degree, so no two share a monomial
+_GRADED = [p.terms for p in phi_coefficients(leghp_phi("S", 2), 6)]
+
+
+@st.composite
+def _graded_parts(draw):
+    """Scaled distinct phi_k of a small Phi: parts with disjoint monomials,
+    the sums ``lincomb`` writes in one pass."""
+    ks = draw(st.lists(st.integers(0, len(_GRADED) - 1), unique=True, max_size=len(_GRADED)))
+    return [(draw(st.integers(-20, 20)) * 6, draw(st.integers(1, 12)) * 6, _GRADED[k])
+            for k in ks]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_lincomb_parts(), max_size=6))
+@given(st.one_of(st.lists(_lincomb_parts(), max_size=6), _graded_parts()))
 def test_lincomb_matches_reference(parts):
-    """multipoly.lincomb against the reference: sum (a/b) * p, reduced."""
+    """multipoly.lincomb against the reference: sum (a/b) * p, reduced,
+    for parts that overlap and for graded parts that do not."""
     ref = {}
     for a, b, r in parts:
         ref = _ref_add(ref, _ref_scale(_ref_clean(r), F(a, b)))
     _assert_represents(lincomb((a, b, MultiPoly(r)) for a, b, r in parts), ref)
+
+
+@pytest.mark.parametrize("parts,expected", [
+    ([(1, 1, X), (1, 1, X)], 2 * X),
+    ([(3, 2, X), (0, 5, X * Y), (1, 3, Y)], X * F(3, 2) + Y / 3),
+    ([(0, 1, X)], MultiPoly.zero()),
+    ([], MultiPoly.zero()),
+], ids=["same-part-twice", "zero-scale-part", "only-zero-scale", "empty"])
+def test_lincomb_small_cases(parts, expected):
+    got = lincomb(parts)
+    assert got == expected
+    _assert_represents(got, expected.terms)
 
 
 @pytest.mark.parametrize("key,build", [
