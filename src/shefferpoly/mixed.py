@@ -39,11 +39,11 @@ monomiality suite asserts only the theta variant at egf weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import families
-from .checks import Check, compare
+from .checks import Check, Record, compare
 from .memo import memo
 from .multipoly import MultiPoly
 from .operators import (
@@ -83,9 +83,9 @@ class UnknownReduction(KeyError):
     """The reduction id is not registered (or not valid for this kind)."""
 
 
-@dataclass(frozen=True)
-class MixedFamily:
-    """One mixed family: a Sheffer pair, a base kind (S or R), and r >= 1.
+class MixedFamily(Record):
+    """One mixed family: a Sheffer pair, a base kind (S or R), r >= 1 and
+    an order; another kind or r raises ``ValueError``.
 
     >>> from .pairs import get_pair
     >>> fam = MixedFamily(get_pair("identity"), "S", 2, 8)
@@ -95,16 +95,14 @@ class MixedFamily:
     True
     """
 
-    pair: ShefferPair
-    kind: str = "S"
-    r: int = 2
-    order: int = 12
+    _fields = ("pair", "kind", "r", "order")
 
-    def __post_init__(self):
-        if self.kind not in ("S", "R"):
+    def __init__(self, pair: ShefferPair, kind: str = "S", r: int = 2, order: int = 12):
+        if kind not in ("S", "R"):
             raise ValueError("kind must be 'S' or 'R'")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("r must be >= 1")
+        vars(self).update(pair=pair, kind=kind, r=r, order=order)
 
     @property
     def label(self) -> str:
@@ -360,8 +358,7 @@ def sheffer_poly_in_y(pair: ShefferPair, n: int, order: int) -> MultiPoly:
 # -- the reduction registry ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Reduction:
+class _Reduction(NamedTuple):
     """A named special case: ``specialize(fam, n)`` pushes member(n) through
     the recipe; ``phi(r)`` gives the factors of the target family's Phi,
     whose member at the family's weight is the expected value."""
@@ -438,7 +435,7 @@ def _make_reductions() -> dict[str, _Reduction]:
 
     # r = 2, x = 0: two-variable Hermite (Kampe de Feriet) based member,
     # ex1 restricted to r = 2
-    R["ex8"] = replace(R["ex1"], requires_r=2)
+    R["ex8"] = R["ex1"]._replace(requires_r=2)
 
     # r = 2, x = 0, y -> D_x^(-1){1}, z -> y: Hermite-type G_n based member
     R["ex9"] = _Reduction(

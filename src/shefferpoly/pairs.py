@@ -43,11 +43,11 @@ cannot define a Sheffer pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from .checks import Record
 from .memo import memo
 from .series import OrderTooSmall, Series, _ratio
 
@@ -149,8 +149,7 @@ def _iroot(n: int, k: int) -> int | None:
     return r if r ** k == n else None
 
 
-@dataclass(frozen=True)
-class PairSeries:
+class PairSeries(NamedTuple):
     """The four series attached to a pair at a given order."""
 
     g: Series
@@ -159,16 +158,15 @@ class PairSeries:
     claimed_H: Series | None
 
 
-@dataclass(frozen=True)
-class ResolvedPair:
+class ResolvedPair(Record):
     """Series actually used to generate members: H = f^(-1), A = 1/g(H),
     and the two values every family of the pair reads from them, each
-    computed on its first read."""
+    computed on its first read and kept in the instance dict."""
 
-    g: Series
-    f: Series
-    H: Series
-    A: Series
+    _fields = ("g", "f", "H", "A")
+
+    def __init__(self, g: Series, f: Series, H: Series, A: Series):
+        vars(self).update(g=g, f=f, H=H, A=A)
 
     @cached_property
     def factors(self) -> tuple[Series, Series]:
@@ -189,8 +187,7 @@ class ResolvedPair:
         return tuple(cols)
 
 
-@dataclass(frozen=True)
-class ShefferPair:
+class ShefferPair(NamedTuple):
     """A named (g, f) pair plus the closed forms the catalog claims for it."""
 
     name: str
@@ -198,7 +195,11 @@ class ShefferPair:
     params: tuple[tuple[str, Fraction], ...]
     normalization: str  # scale linking s_n to the classical polynomial
     associated: bool
-    builder: Callable[[Params, int], PairSeries] = field(repr=False)
+    builder: Callable[[Params, int], PairSeries]
+
+    def __repr__(self) -> str:  # without the builder, a function
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
+        return f"ShefferPair({fields})"
 
     def param_dict(self) -> Params:
         return dict(self.params)

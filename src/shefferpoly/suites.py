@@ -11,7 +11,6 @@ here so there is exactly one definition of what each suite covers.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from .checks import Check, compare, first_failure
@@ -116,8 +115,8 @@ def suite_monomiality(order: int = DEFAULT_ORDER, max_n: int = 8) -> list[Check]
                     verdicts = {}
                     for c in checks:
                         verdicts[c.name] = verdicts.get(c.name, True) and c.passed
-                    row = replace(row, detail="; ".join(
-                        f"{k}={'PASS' if v else 'FAIL'}" for k, v in sorted(verdicts.items())))
+                    row = Check(row.suite, row.name, row.passed, "; ".join(
+                        f"{k}={'PASS' if v else 'FAIL'}" for k, v in sorted(verdicts.items())), row.n)
                 out.append(row)
     return out
 

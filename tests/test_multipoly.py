@@ -347,7 +347,9 @@ def test_lincomb_matches_reference(parts):
     ([(3, 2, X), (0, 5, X * Y), (1, 3, Y)], X * F(3, 2) + Y / 3),
     ([(0, 1, X)], MultiPoly.zero()),
     ([], MultiPoly.zero()),
-], ids=["same-part-twice", "zero-scale-part", "only-zero-scale", "empty"])
+    # a disjoint sum whose numerators and denominator share the factor 2
+    ([(1, 2, 2 * X)], X),
+], ids=["same-part-twice", "zero-scale-part", "only-zero-scale", "empty", "common-gcd"])
 def test_lincomb_small_cases(parts, expected):
     got = lincomb(parts)
     assert got == expected

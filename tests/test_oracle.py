@@ -2,7 +2,6 @@
 inversion, and the registered engine-vs-oracle suites."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -146,7 +145,7 @@ def test_oracle_checks_the_registered_recipes(monkeypatch, capsys):
             {"x": 0, "y": compose(scale(-1), inv_deriv("x")), "z": Y})
 
     monkeypatch.setitem(mixed.REDUCTIONS, "ex9",
-                        replace(mixed.REDUCTIONS["ex9"], specialize=flipped))
+                        mixed.REDUCTIONS["ex9"]._replace(specialize=flipped))
     failing = {c.name for c in suites.suite_reductions(8, 3) if not c.passed}
     assert failing == {"identity/ex9", "lower-factorial/ex9", "bernoulli2/ex9"}
     checks = cross_validate("leghpS-vs-table1", 4)
